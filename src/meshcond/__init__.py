@@ -13,7 +13,6 @@ from .assembly import (
     assemble_mass,
     assemble_stiffness,
     jacobi_scaling,
-    write_matrix,
 )
 from .bounds import (
     CalibrationConstant,
@@ -35,7 +34,6 @@ from .diffusion import (
     DiffusionField,
     FieldError,
     constant_field,
-    element_average,
     element_averages,
     evaluate_field,
     field_spectral_bounds,
@@ -53,19 +51,15 @@ from .experiments import (
 )
 from .mesh import (
     DegenerateElementError,
-    ElementGeometry,
     MeshFormatError,
     MeshStatistics,
     SimplicialMesh,
-    VertexPatch,
-    element_geometry,
     generate_chebyshev_mesh,
     generate_skew_mesh_2d,
     generate_skew_mesh_3d,
     generate_uniform_mesh,
     mesh_statistics,
     read_mesh,
-    vertex_patches,
     write_mesh,
 )
 from .spectral import (

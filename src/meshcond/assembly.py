@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .diffusion import element_averages, mapped_metric_tensors, spd_norm2
-from .mesh import element_edge_matrices
+from .mesh import element_edge_matrices, patch_sums
 
 __all__ = [
     "AssemblyError",
@@ -23,7 +23,6 @@ __all__ = [
     "jacobi_scaling",
     "alt_scaling",
     "apply_symmetric_scaling",
-    "write_matrix",
 ]
 
 
@@ -117,14 +116,7 @@ def alt_scaling(mesh, field):
     """
     vols, _ = _element_data(mesh)
     norms = spd_norm2(mapped_metric_tensors(mesh, field))
-    imap = mesh.interior_map()
-    s2 = np.zeros(mesh.n_interior)
-    local = imap[mesh.elements]
-    weights = vols * norms
-    for i in range(mesh.dim + 1):
-        sel = local[:, i] >= 0
-        np.add.at(s2, local[sel, i], weights[sel])
-    return np.sqrt(s2)
+    return np.sqrt(patch_sums(mesh, vols * norms))
 
 
 def apply_symmetric_scaling(mat, scaling):
@@ -136,19 +128,3 @@ def apply_symmetric_scaling(mat, scaling):
         raise ValueError("scaling entries must be positive and finite")
     dinv = sp.diags(1.0 / s)
     return (dinv @ mat @ dinv).tocsr()
-
-
-def write_matrix(mat, path):
-    """Dump a symmetric sparse matrix in coordinate text form.
-
-    Header line ``%%sym n nnz``; one ``i j value`` line per stored entry
-    with i <= j.
-    """
-    coo = sp.coo_matrix(mat)
-    keep = coo.row <= coo.col
-    rows, cols, vals = coo.row[keep], coo.col[keep], coo.data[keep]
-    order = np.lexsort((cols, rows))
-    with open(path, "w") as fh:
-        fh.write(f"%%sym {mat.shape[0]} {len(vals)}\n")
-        for i, j, v in zip(rows[order], cols[order], vals[order]):
-            fh.write(f"{i} {j} {v:.17g}\n")

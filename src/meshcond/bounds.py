@@ -31,6 +31,7 @@ from .mesh import (
     element_volumes,
     generate_uniform_mesh,
     mesh_statistics,
+    patch_sums,
     reference_gradient_bound,
 )
 from .spectral import extreme_eigenvalues
@@ -86,7 +87,6 @@ class CalibrationConstant:
 @dataclass(frozen=True)
 class MassConditionBounds:
     two_sided: tuple[float, float]
-    patch_form: tuple[float, float]
     fried: float
     standard: float
     scaled_upper: float
@@ -124,37 +124,57 @@ class ConditionBoundReport:
     factor_volume: float
 
 
+@dataclass(frozen=True)
+class _ElementData:
+    """Per-element inputs of every estimate for one (mesh, field) pair.
+
+    ``vols`` holds |K|, ``dk`` the averages D_K, ``mk`` the tensors
+    M_K = (F'_K)^{-T} D_K (F'_K)^{-1} and ``mk_norm`` their spectral norms.
+    """
+
+    vols: np.ndarray
+    dk: np.ndarray
+    mk: np.ndarray
+    mk_norm: np.ndarray
+
+    @classmethod
+    def of(cls, mesh, field):
+        mk = mapped_metric_tensors(mesh, field)
+        return cls(vols=element_volumes(mesh), dk=element_averages(field, mesh),
+                   mk=mk, mk_norm=spd_norm2(mk))
+
+    @property
+    def dim(self):
+        return self.mk.shape[-1]
+
+    @property
+    def n_elements(self):
+        return len(self.vols)
+
+
 def _patch_max(mesh, weights):
     """max over interior vertices j of sum_{K in omega_j} weights[K]."""
-    imap = mesh.interior_map()
-    acc = np.zeros(mesh.n_interior)
-    local = imap[mesh.elements]
-    for i in range(mesh.dim + 1):
-        sel = local[:, i] >= 0
-        np.add.at(acc, local[sel, i], weights[sel])
-    return float(acc.max())
+    return float(patch_sums(mesh, weights).max())
 
 
 def mass_condition_bounds(mesh):
     """All mass-matrix condition estimates for a mesh.
 
     ``two_sided`` is [r, (d+2) r] with r the diagonal ratio of the assembled
-    mass matrix, ``patch_form`` the same interval from patch volumes,
-    ``fried`` the classical (d+2) p_max |K_max|/|K_min| bound, ``standard``
-    the isotropic diameter-ratio estimate (with the constant (d+2) p_max),
-    and ``scaled_upper`` the mesh-independent bound d+2 after Jacobi
-    scaling.
+    mass matrix, which is also the patch-volume ratio because
+    B_jj = 2 |omega_j| / ((d+1)(d+2)); ``fried`` is the classical
+    (d+2) p_max |K_max|/|K_min| bound, ``standard`` the isotropic
+    diameter-ratio estimate (with the constant (d+2) p_max), and
+    ``scaled_upper`` the mesh-independent bound d+2 after Jacobi scaling.
     """
     d = mesh.dim
     diag = assemble_mass(mesh).diagonal()
     r = float(diag.max() / diag.min())
     stats = mesh_statistics(mesh)
-    big_r = stats.omega_max / stats.omega_min
     fried = (d + 2) * stats.p_max * stats.k_max / stats.k_min
     standard = (d + 2) * stats.p_max * stats.h_ratio ** d
     return MassConditionBounds(
         two_sided=(r, (d + 2) * r),
-        patch_form=(big_r, (d + 2) * big_r),
         fried=fried,
         standard=standard,
         scaled_upper=float(d + 2),
@@ -182,22 +202,23 @@ def quality_measures(mesh, field):
     element is aligned), and q_eq(K) is the ratio of the average metric
     element volume sigma_h / N to |K| det(D_K)^{-1/2}.
     """
-    d = mesh.dim
-    vols = element_volumes(mesh)
-    mk = mapped_metric_tensors(mesh, field)
-    dk_norm = spd_norm2(mk)
-    det_dk = np.linalg.det(element_averages(field, mesh))
-    metric_vols = vols / np.sqrt(det_dk)
+    return _quality_measures(_ElementData.of(mesh, field))
+
+
+def _quality_measures(geom):
+    d, n = geom.dim, geom.n_elements
+    metric_vols = geom.vols / np.sqrt(np.linalg.det(geom.dk))
     sigma_h = float(metric_vols.sum())
-    q_eq = (sigma_h / mesh.n_elements) / metric_vols
+    q_eq = (sigma_h / n) / metric_vols
     if d == 1:
-        q_ali = np.ones(mesh.n_elements)
+        q_ali = np.ones(n)
     else:
-        tr = np.trace(mk, axis1=1, axis2=2)
-        det_m = np.linalg.det(mk)
+        tr = np.trace(geom.mk, axis1=1, axis2=2)
+        det_m = np.linalg.det(geom.mk)
         ratio = (tr / d) / det_m ** (1.0 / d)
         q_ali = ratio ** (d / (2.0 * (d - 1)))
-    return QualityMeasures(q_ali=q_ali, q_eq=q_eq, sigma_h=sigma_h, dk_norm=dk_norm)
+    return QualityMeasures(q_ali=q_ali, q_eq=q_eq, sigma_h=sigma_h,
+                           dk_norm=geom.mk_norm)
 
 
 def lambda_max_geometric_bound(mesh, field):
@@ -209,8 +230,9 @@ def lambda_max_geometric_bound(mesh, field):
     and is never smaller.
     """
     d = mesh.dim
-    vols = element_volumes(mesh)
-    qm = quality_measures(mesh, field)
+    geom = _ElementData.of(mesh, field)
+    vols = geom.vols
+    qm = _quality_measures(geom)
     c_phi = reference_gradient_bound(d)
     patchwise = (d + 1) * c_phi * _patch_max(mesh, vols * qm.dk_norm)
     n = mesh.n_elements
@@ -222,55 +244,45 @@ def lambda_max_geometric_bound(mesh, field):
     return GeometricMaxBound(patchwise=patchwise, quality_form=quality)
 
 
-def _volume_factor(mesh):
+def _volume_factor(vols, d):
     """Volume-nonuniformity bracket of the unscaled lower bound."""
-    d = mesh.dim
     if d == 1:
         return 1.0
-    vols = element_volumes(mesh)
-    k_bar = vols.sum() / mesh.n_elements
+    k_bar = vols.sum() / len(vols)
     if d == 2:
         return 1.0 + math.log(k_bar / vols.min())
     return float(np.mean((k_bar / vols) ** ((d - 2) / 2.0)) ** (2.0 / d))
 
 
-def _d_factor_unscaled(mesh, field):
+def _d_factor_unscaled(mesh, geom, d_min):
     """Mesh D-nonuniformity factor N^(1-2/d)/d_min max_j sum |K| ||M_K||."""
-    d = mesh.dim
-    d_min, _ = field_spectral_bounds(field)
-    vols = element_volumes(mesh)
-    norms = spd_norm2(mapped_metric_tensors(mesh, field))
-    n = mesh.n_elements
-    return n ** (1.0 - 2.0 / d) / d_min * _patch_max(mesh, vols * norms)
+    d, n = geom.dim, geom.n_elements
+    return n ** (1.0 - 2.0 / d) / d_min * _patch_max(mesh, geom.vols * geom.mk_norm)
 
 
-def _d_factor_scaled(mesh, field):
+def _d_factor_scaled(geom, d_min):
     """D-nonuniformity factor of the scaled bound.
 
     In 1D this is the average of D_K |K_bar|/|K| over elements (the factor
     printed in the 1D scaled bound); for d >= 2 it is the volume-weighted
     L^{d/2} mean of ||M_K||_2 normalized by d_min, raised to 2/d.
     """
-    d = mesh.dim
-    d_min, _ = field_spectral_bounds(field)
-    vols = element_volumes(mesh)
-    n = mesh.n_elements
+    d, n, vols = geom.dim, geom.n_elements, geom.vols
     if d == 1:
-        dk = element_averages(field, mesh)[:, 0, 0]
+        dk = geom.dk[:, 0, 0]
         k_bar = vols.sum() / n
         return float(np.sum(dk * k_bar / vols) / (n * d_min))
-    norms = spd_norm2(mapped_metric_tensors(mesh, field))
+    norms = geom.mk_norm
     mean = np.sum(vols * norms ** (d / 2.0)) / (n * d_min ** (d / 2.0))
     return float(mean ** (2.0 / d))
 
 
-def _log_factor_scaled(mesh, field):
+def _log_factor_scaled(geom):
     """Residual logarithmic factor of the scaled bound (d = 2 only)."""
-    if mesh.dim != 2:
+    if geom.dim != 2:
         return 1.0
-    vols = element_volumes(mesh)
-    norms = spd_norm2(mapped_metric_tensors(mesh, field))
-    ratio = norms.max() / float(np.sum(vols * norms))
+    norms = geom.mk_norm
+    ratio = norms.max() / float(np.sum(geom.vols * norms))
     return 1.0 + abs(math.log(ratio))
 
 
@@ -283,15 +295,18 @@ def lambda_min_bound(mesh, field, cal, scaled=False):
     """
     if cal.dim != mesh.dim:
         raise ValueError(f"calibration is for d={cal.dim}, mesh has d={mesh.dim}")
-    d = mesh.dim
-    n = mesh.n_elements
+    d_min, _ = field_spectral_bounds(field)
+    return _lambda_min_bound(_ElementData.of(mesh, field), d_min, cal, scaled)
+
+
+def _lambda_min_bound(geom, d_min, cal, scaled):
+    d, n = geom.dim, geom.n_elements
     if not scaled:
-        d_min, _ = field_spectral_bounds(field)
-        return cal.c * d_min / n / _volume_factor(mesh)
+        return cal.c * d_min / n / _volume_factor(geom.vols, d)
     return (
         cal.c * n ** (-2.0 / d)
-        / _d_factor_scaled(mesh, field)
-        / _log_factor_scaled(mesh, field)
+        / _d_factor_scaled(geom, d_min)
+        / _log_factor_scaled(geom)
     )
 
 
@@ -310,8 +325,10 @@ def condition_bounds(mesh, field, cal, rel_tol=1e-8):
     exact = extreme_eigenvalues(a, rel_tol)
     exact_scaled = extreme_eigenvalues(scaled, rel_tol)
     lmax = lambda_max_bounds(a.diagonal(), d)
-    lmin = lambda_min_bound(mesh, field, cal, scaled=False)
-    lmin_scaled = lambda_min_bound(mesh, field, cal, scaled=True)
+    geom = _ElementData.of(mesh, field)
+    d_min, _ = field_spectral_bounds(field)
+    lmin = _lambda_min_bound(geom, d_min, cal, scaled=False)
+    lmin_scaled = _lambda_min_bound(geom, d_min, cal, scaled=True)
     return ConditionBoundReport(
         dim=d,
         n_elements=n,
@@ -324,9 +341,9 @@ def condition_bounds(mesh, field, cal, rel_tol=1e-8):
         est_kappa=lmax.unscaled[1] / lmin,
         est_kappa_scaled=lmax.scaled[1] / lmin_scaled,
         factor_base=cal.c * n ** (2.0 / d),
-        factor_d_nonuniformity=_d_factor_unscaled(mesh, field),
-        factor_d_nonuniformity_scaled=_d_factor_scaled(mesh, field),
-        factor_volume=_volume_factor(mesh),
+        factor_d_nonuniformity=_d_factor_unscaled(mesh, geom, d_min),
+        factor_d_nonuniformity_scaled=_d_factor_scaled(geom, d_min),
+        factor_volume=_volume_factor(geom.vols, d),
     )
 
 
@@ -383,7 +400,7 @@ def calibrate_constant(dim, field, n_ref, rel_tol=1e-8):
     a = assemble_stiffness(mesh, field)
     lmin = extreme_eigenvalues(a, rel_tol).lambda_min
     d_min, _ = field_spectral_bounds(field)
-    raw = d_min / mesh.n_elements / _volume_factor(mesh)
+    raw = d_min / mesh.n_elements / _volume_factor(element_volumes(mesh), dim)
     return CalibrationConstant(
         c=lmin / raw,
         dim=dim,

@@ -1,7 +1,8 @@
 """Command line interface: generate meshes, analyze them, run studies.
 
-Exit codes: 0 on success, 1 on usage or I/O errors, 2 when an exact value
-falls outside one of the two-sided envelopes.
+Exit codes: 0 on success, 1 on usage, input or I/O errors and when an
+eigensolver does not converge, 2 when an exact value falls outside one of
+the two-sided envelopes.
 """
 
 from __future__ import annotations
@@ -10,16 +11,12 @@ import argparse
 import sys
 
 from .assembly import assemble_mass
-from .bounds import (
-    calibrate_constant,
-    load_calibration,
-    mass_condition_bounds,
-    save_calibration,
-)
+from .bounds import calibrate_constant, mass_condition_bounds, save_calibration
 from .diffusion import parse_field_spec
 from .experiments import (
     analyze_mesh,
     parse_study_config,
+    resolve_calibration,
     run_study,
     write_study_csv,
     ENVELOPE_SLACK,
@@ -32,7 +29,7 @@ from .mesh import (
     read_mesh,
     write_mesh,
 )
-from .spectral import extreme_eigenvalues
+from .spectral import ConvergenceError, extreme_eigenvalues
 
 GENERATE_CASES = ("uniform1d", "uniform2d", "uniform3d", "chebyshev", "skew2d", "skew3d")
 
@@ -96,14 +93,7 @@ def _cmd_generate(args):
 def _cmd_analyze(args):
     mesh = read_mesh(args.mesh)
     field = parse_field_spec(args.field, mesh.dim)
-    if args.calibration == "auto":
-        from .bounds import auto_reference_subdivisions
-
-        cal = calibrate_constant(mesh.dim, field, auto_reference_subdivisions(mesh.dim))
-    else:
-        cal = load_calibration(args.calibration)
-        if cal.dim != mesh.dim:
-            raise ValueError(f"calibration is for d={cal.dim}, mesh is d={mesh.dim}")
+    cal = resolve_calibration(args.calibration, mesh.dim, field)
     row, violations = analyze_mesh(mesh, field, cal, tol=args.tol,
                                    n_label=mesh.n_elements)
     write_study_csv([row], args.csv)
@@ -162,7 +152,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ConvergenceError) as exc:
         print(f"meshcond: error: {exc}", file=sys.stderr)
         return 1
 

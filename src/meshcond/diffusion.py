@@ -24,7 +24,6 @@ __all__ = [
     "rotated_anisotropic_field",
     "parse_field_spec",
     "evaluate_field",
-    "element_average",
     "element_averages",
     "field_spectral_bounds",
     "mapped_metric_tensors",
@@ -84,8 +83,10 @@ def constant_field(matrix):
 
 def rotated_anisotropic_field(l1=1000.0, l2=1.0):
     """2D field R(psi) diag(l1, l2) R(psi)^T with psi = pi sin(x) cos(y)."""
-    if l1 <= 0.0 or l2 <= 0.0:
-        raise FieldError("rotated field eigenvalues must be positive")
+    if not (0.0 < l1 < math.inf and 0.0 < l2 < math.inf):
+        raise FieldError(
+            f"rotated field eigenvalues must be positive and finite, got {l1}, {l2}"
+        )
     return DiffusionField(dim=2, kind="rotated", eigenvalues=(float(l1), float(l2)))
 
 
@@ -163,12 +164,6 @@ def element_averages(field, mesh):
         raise FieldError(f"field dim {field.dim} does not match mesh dim {mesh.dim}")
     centers = mesh.vertices[mesh.elements].mean(axis=1)
     return _tensors_at(field, centers)
-
-
-def element_average(field, mesh, k):
-    """Average diffusion tensor D_K of element k (one-point quadrature)."""
-    center = mesh.vertices[mesh.elements[k]].mean(axis=0)
-    return evaluate_field(field, center)
 
 
 def field_spectral_bounds(field, mesh=None):

@@ -268,15 +268,17 @@ def analyze_mesh(mesh, field, cal, tol=1e-8, n_label=0, aspect_label=1.0):
     return row, envelope_violations(report)
 
 
-def resolve_calibration(cfg):
-    """Calibration constant for a study: load a file or auto-calibrate."""
-    dim = study_dimension(cfg)
-    if cfg.calibration == "auto":
-        field = parse_field_spec(cfg.field, dim)
+def resolve_calibration(spec, dim, field):
+    """Calibration constant for dimension ``dim``: ``spec`` is a file or ``auto``.
+
+    ``auto`` fits the constant for ``field`` on the largest uniform
+    reference mesh with at most 2000 unknowns.
+    """
+    if spec == "auto":
         return calibrate_constant(dim, field, auto_reference_subdivisions(dim))
-    cal = load_calibration(cfg.calibration)
+    cal = load_calibration(spec)
     if cal.dim != dim:
-        raise ValueError(f"calibration is for d={cal.dim}, study needs d={dim}")
+        raise ValueError(f"calibration is for d={cal.dim}, the mesh has d={dim}")
     return cal
 
 
@@ -285,7 +287,7 @@ def run_study(cfg):
     _check_config(cfg)
     dim = study_dimension(cfg)
     field = parse_field_spec(cfg.field, dim)
-    cal = resolve_calibration(cfg)
+    cal = resolve_calibration(cfg.calibration, dim, field)
     sweep = cfg.aspect_values if cfg.case.endswith("-aspect") else cfg.n_values
     rows, violations = [], []
     for value in sweep:
@@ -318,22 +320,3 @@ def write_study_csv(rows, path):
             fh.write(
                 ",".join(_format_cell(getattr(row, c)) for c in CSV_COLUMNS) + "\n"
             )
-
-
-def read_study_csv(path):
-    """Read back a study CSV as a list of dicts keyed by column name."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        out = []
-        for line in fh:
-            parts = line.strip().split(",")
-            row = {}
-            for key, cell in zip(header, parts):
-                if key == "status":
-                    row[key] = cell
-                elif key in ("n", "n_elements", "n_interior"):
-                    row[key] = int(cell)
-                else:
-                    row[key] = float(cell)
-            out.append(row)
-        return out

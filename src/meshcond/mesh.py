@@ -7,6 +7,7 @@ coordinates are plain float64.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -15,8 +16,6 @@ import numpy as np
 
 __all__ = [
     "SimplicialMesh",
-    "ElementGeometry",
-    "VertexPatch",
     "MeshStatistics",
     "MeshFormatError",
     "DegenerateElementError",
@@ -27,10 +26,9 @@ __all__ = [
     "generate_chebyshev_mesh",
     "generate_skew_mesh_2d",
     "generate_skew_mesh_3d",
-    "element_geometry",
     "element_volumes",
     "element_edge_matrices",
-    "vertex_patches",
+    "patch_sums",
     "mesh_statistics",
     "validate_mesh",
     "write_mesh",
@@ -119,33 +117,6 @@ class SimplicialMesh:
 
 
 @dataclass(frozen=True)
-class ElementGeometry:
-    """Affine geometry of one simplex.
-
-    ``jacobian`` maps the regular reference simplex of unit volume onto the
-    element, so ``volume == abs(det(jacobian))``.  ``aspect`` is the ratio of
-    the average size ``volume**(1/d)`` to the inscribed-ball diameter;
-    ``diameter`` is the longest edge.
-    """
-
-    jacobian: np.ndarray
-    volume: float
-    in_diameter: float
-    diameter: float
-    avg_size: float
-    aspect: float
-
-
-@dataclass(frozen=True)
-class VertexPatch:
-    """Elements sharing one interior vertex and their total volume."""
-
-    vertex: int
-    elements: np.ndarray
-    volume: float
-
-
-@dataclass(frozen=True)
 class MeshStatistics:
     n_elements: int
     n_interior: int
@@ -222,53 +193,6 @@ def element_edge_matrices(mesh):
     return pts[:, 1:, :] - pts[:, :1, :]
 
 
-def element_geometry(mesh, k):
-    """Geometry of element ``k``: Jacobian, volume, in-diameter, aspect.
-
-    Raises
-    ------
-    DegenerateElementError
-        If the element volume is zero or non-finite.
-    """
-    d = mesh.dim
-    pts = mesh.vertices[mesh.elements[k]]
-    edges = pts[1:] - pts[0]
-    det = np.linalg.det(edges)
-    volume = abs(det) / math.factorial(d)
-    if not np.isfinite(volume) or volume == 0.0:
-        raise DegenerateElementError(f"element {k} is degenerate (volume {volume})")
-
-    ref_edges = (reference_simplex(d)[1:] - reference_simplex(d)[0]).T
-    jacobian = edges.T @ np.linalg.inv(ref_edges)
-
-    if d == 1:
-        in_diameter = volume
-        diameter = volume
-    elif d == 2:
-        sides = [np.linalg.norm(pts[i] - pts[j]) for i, j in ((0, 1), (1, 2), (2, 0))]
-        in_diameter = 4.0 * volume / sum(sides)
-        diameter = max(sides)
-    else:
-        faces = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-        area = 0.0
-        for f in faces:
-            a, b, c = pts[f[0]], pts[f[1]], pts[f[2]]
-            area += 0.5 * np.linalg.norm(np.cross(b - a, c - a))
-        in_diameter = 6.0 * volume / area
-        diameter = max(
-            np.linalg.norm(pts[i] - pts[j]) for i in range(4) for j in range(i + 1, 4)
-        )
-    avg_size = volume ** (1.0 / d)
-    return ElementGeometry(
-        jacobian=jacobian,
-        volume=volume,
-        in_diameter=in_diameter,
-        diameter=float(diameter),
-        avg_size=avg_size,
-        aspect=avg_size / in_diameter,
-    )
-
-
 def element_diameters(mesh):
     """Longest-edge lengths of all elements, shape (ne,)."""
     pts = mesh.vertices[mesh.elements]
@@ -310,74 +234,23 @@ def generate_uniform_mesh(dim, n):
         d = 1: ``n`` intervals; d = 2: two triangles per grid cell (all
         diagonals parallel); d = 3: six tetrahedra per cell (Kuhn split).
     """
+    if dim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    if dim == 1:
-        coords = np.array([[i / n] for i in range(n + 1)])
-        elems = np.array([[i, i + 1] for i in range(n)], dtype=np.int64)
-        boundary = np.zeros(n + 1, dtype=bool)
-        boundary[[0, n]] = True
-    elif dim == 2:
-        coords = np.array(
-            [[i / n, j / n] for j in range(n + 1) for i in range(n + 1)]
-        )
-
-        def vid(i, j):
-            return j * (n + 1) + i
-
-        elems = []
-        for j in range(n):
-            for i in range(n):
-                v00, v10 = vid(i, j), vid(i + 1, j)
-                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-                elems.append((v00, v10, v11))
-                elems.append((v00, v11, v01))
-        elems = np.array(elems, dtype=np.int64)
-        onb = np.array(
-            [i in (0, n) or j in (0, n) for j in range(n + 1) for i in range(n + 1)]
-        )
-        boundary = onb
-    else:
-        coords = np.array(
-            [
-                [i / n, j / n, k / n]
-                for k in range(n + 1)
-                for j in range(n + 1)
-                for i in range(n + 1)
-            ]
-        )
-
-        def vid3(i, j, k):
-            return (k * (n + 1) + j) * (n + 1) + i
-
-        # Kuhn split: one tetrahedron per permutation of the axis order,
-        # each containing the main diagonal of the cell.
-        perms = (
-            (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-        )
-        elems = []
-        for k in range(n):
-            for j in range(n):
-                for i in range(n):
-                    base = np.array([i, j, k])
-                    for perm in perms:
-                        corners = [base.copy()]
-                        cur = base.copy()
-                        for axis in perm:
-                            cur = cur.copy()
-                            cur[axis] += 1
-                            corners.append(cur)
-                        elems.append([vid3(*c) for c in corners])
-        elems = np.array(elems, dtype=np.int64)
-        onb = np.array(
-            [
-                i in (0, n) or j in (0, n) or k in (0, n)
-                for k in range(n + 1)
-                for j in range(n + 1)
-                for i in range(n + 1)
-            ]
-        )
-        boundary = onb
+    # grid points and cell origins, first axis varying fastest
+    grid = np.indices((n + 1,) * dim).reshape(dim, -1)[::-1].T
+    cells = np.indices((n,) * dim).reshape(dim, -1)[::-1].T
+    coords = grid / n
+    boundary = np.any((grid == 0) | (grid == n), axis=1)
+    strides = (n + 1) ** np.arange(dim)
+    # Kuhn split: one simplex per permutation of the axis order, walking
+    # from the cell origin to the opposite corner one axis step at a time
+    offsets = np.array([
+        np.concatenate(([0], np.cumsum(strides[list(perm)])))
+        for perm in itertools.permutations(range(dim))
+    ])
+    elems = ((cells @ strides)[:, None, None] + offsets).reshape(-1, dim + 1)
     elems = _orient_positive(coords, elems, dim)
     return SimplicialMesh(dim=dim, vertices=coords, elements=elems, boundary=boundary)
 
@@ -448,51 +321,23 @@ def generate_skew_mesh_3d(n, aspect):
     return _shift_grid_layer(generate_uniform_mesh(3, n), n, aspect, axis=2)
 
 
-def vertex_patches(mesh):
-    """Element patches of all interior vertices, in interior order.
+def patch_sums(mesh, weights):
+    """Sum of the element ``weights`` over each interior vertex patch.
 
-    Patch volumes are accumulated in element-index order, matching the
-    summation order used by matrix assembly.
+    Returns shape (n_interior,).  Adds local vertex slot by slot and, within a slot, in element-index
+    order, so every patch sum is reproducible bit for bit.
     """
-    vols = element_volumes(mesh)
-    interior = mesh.interior_indices()
-    members = {int(v): [] for v in interior}
-    for k, elem in enumerate(mesh.elements):
-        for v in elem:
-            lst = members.get(int(v))
-            if lst is not None:
-                lst.append(k)
-    patches = []
-    for v in interior:
-        elems = np.array(members[int(v)], dtype=np.int64)
-        patches.append(
-            VertexPatch(vertex=int(v), elements=elems, volume=float(vols[elems].sum()))
-        )
-    return patches
-
-
-def patch_volumes(mesh):
-    """Patch volume per interior vertex, shape (n_interior,)."""
-    vols = element_volumes(mesh)
-    imap = mesh.interior_map()
-    out = np.zeros(mesh.n_interior)
-    local = imap[mesh.elements]  # (ne, d+1)
-    for i in range(mesh.dim + 1):
-        sel = local[:, i] >= 0
-        np.add.at(out, local[sel, i], vols[sel])
-    return out
+    local = mesh.interior_map()[mesh.elements].T  # (d+1, ne), slot-major
+    keep = local >= 0
+    weights = np.broadcast_to(np.asarray(weights, dtype=float), local.shape)
+    return np.bincount(local[keep], weights=weights[keep], minlength=mesh.n_interior)
 
 
 def mesh_statistics(mesh):
     """Element and patch size statistics used by the conditioning bounds."""
     vols = element_volumes(mesh)
-    omega = patch_volumes(mesh)
-    imap = mesh.interior_map()
-    counts = np.zeros(mesh.n_interior, dtype=np.int64)
-    local = imap[mesh.elements]
-    for i in range(mesh.dim + 1):
-        sel = local[:, i] >= 0
-        np.add.at(counts, local[sel, i], 1)
+    omega = patch_sums(mesh, vols)
+    counts = patch_sums(mesh, np.ones(mesh.n_elements))
     diam = element_diameters(mesh)
     return MeshStatistics(
         n_elements=mesh.n_elements,

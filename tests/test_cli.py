@@ -1,13 +1,20 @@
+import csv
+
 import numpy as np
 import pytest
 
 from meshcond import cli
-from meshcond.experiments import read_study_csv
 from meshcond.mesh import element_volumes, read_mesh
+from meshcond.spectral import ConvergenceError
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestGenerate:
@@ -59,9 +66,9 @@ class TestAnalyze:
         code = run(["analyze", "--mesh", str(mesh_path), "--field", "identity",
                     "--calibration", str(cal_path), "--csv", str(csv_path)])
         assert code == 0
-        rows = read_study_csv(csv_path)
+        rows = read_csv(csv_path)
         assert len(rows) == 1
-        row = rows[0]
+        row = {k: float(v) for k, v in rows[0].items() if k != "status"}
         assert row["est_lambda_max_low"] <= row["lambda_max"]
         assert row["lambda_max"] <= row["est_lambda_max_high"]
 
@@ -80,6 +87,31 @@ class TestAnalyze:
                     "--calibration", str(cal_path),
                     "--csv", str(tmp_path / "r.csv")])
         assert code == 1
+
+    def test_non_finite_field_exits_one(self, tmp_path, capsys):
+        mesh_path = tmp_path / "u.msh"
+        run(["generate", "--case", "uniform2d", "--n", "4", "-o", str(mesh_path)])
+        capsys.readouterr()
+        code = run(["analyze", "--mesh", str(mesh_path), "--field", "rotated:nan,1",
+                    "--csv", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("meshcond: error:") and "finite" in err
+
+    def test_mass_eigensolve_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        def fail(mat, rel_tol):
+            raise ConvergenceError("mass eigensolve did not converge")
+
+        monkeypatch.setattr(cli, "extreme_eigenvalues", fail)
+        mesh_path = tmp_path / "u.msh"
+        run(["generate", "--case", "uniform1d", "--n", "8", "-o", str(mesh_path)])
+        capsys.readouterr()
+        code = run(["analyze", "--mesh", str(mesh_path),
+                    "--csv", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "meshcond: error: mass eigensolve did not converge\n"
 
     def test_envelope_violation_exits_two(self, tmp_path, monkeypatch):
         # the envelopes are theorems, so fake a violating analysis to check
@@ -112,8 +144,8 @@ class TestStudy:
             "calibration = auto\n"
         )
         assert run(["study", "--config", str(cfg), "--csv", str(csv_path)]) == 0
-        rows = read_study_csv(csv_path)
-        assert [r["n"] for r in rows] == [32, 64, 128]
+        rows = read_csv(csv_path)
+        assert [int(r["n"]) for r in rows] == [32, 64, 128]
 
     def test_bad_config_exits_one(self, tmp_path):
         cfg = tmp_path / "study.cfg"

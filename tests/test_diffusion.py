@@ -4,7 +4,6 @@ import pytest
 from meshcond.diffusion import (
     FieldError,
     constant_field,
-    element_average,
     element_averages,
     evaluate_field,
     field_spectral_bounds,
@@ -71,13 +70,19 @@ class TestConstruction:
         with pytest.raises(FieldError):
             rotated_anisotropic_field(-1.0, 1.0)
 
+    @pytest.mark.parametrize("spec", ["rotated:nan,1", "rotated:inf,1",
+                                      "rotated:1,nan", "rotated:1,-inf"])
+    def test_rotated_requires_finite_eigenvalues(self, spec):
+        with pytest.raises(FieldError, match="finite"):
+            parse_field_spec(spec, 2)
+
 
 class TestElementAverage:
     def test_constant_exact(self):
         mesh = generate_uniform_mesh(2, 4)
         mat = np.array([[4.0, 1.0], [1.0, 9.0]])
         field = constant_field(mat)
-        assert np.array_equal(element_average(field, mesh, 7), mat)
+        assert np.array_equal(element_averages(field, mesh)[7], mat)
 
     def test_rotated_determinant(self):
         mesh = generate_skew_mesh_2d(8, 20.0)
@@ -90,7 +95,7 @@ class TestElementAverage:
         field = rotated_anisotropic_field(10.0, 1.0)
         k = 5
         center = mesh.vertices[mesh.elements[k]].mean(axis=0)
-        assert element_average(field, mesh, k) == pytest.approx(
+        assert element_averages(field, mesh)[k] == pytest.approx(
             evaluate_field(field, center)
         )
 

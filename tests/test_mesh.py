@@ -7,20 +7,118 @@ from meshcond.mesh import (
     DegenerateElementError,
     MeshFormatError,
     SimplicialMesh,
-    element_geometry,
+    element_diameters,
+    element_edge_matrices,
     element_volumes,
     generate_chebyshev_mesh,
     generate_skew_mesh_2d,
     generate_skew_mesh_3d,
     generate_uniform_mesh,
     mesh_statistics,
+    patch_sums,
     read_mesh,
     reference_gradient_bound,
     reference_simplex,
     validate_mesh,
-    vertex_patches,
     write_mesh,
 )
+
+
+def loop_uniform_mesh(dim, n):
+    """Reference for generate_uniform_mesh: the grid built point by point."""
+    if dim == 1:
+        coords = np.array([[i / n] for i in range(n + 1)])
+        elems = [[i, i + 1] for i in range(n)]
+        boundary = np.zeros(n + 1, dtype=bool)
+        boundary[[0, n]] = True
+    elif dim == 2:
+        coords = np.array(
+            [[i / n, j / n] for j in range(n + 1) for i in range(n + 1)]
+        )
+
+        def vid(i, j):
+            return j * (n + 1) + i
+
+        elems = []
+        for j in range(n):
+            for i in range(n):
+                v00, v10 = vid(i, j), vid(i + 1, j)
+                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+                elems.append((v00, v10, v11))
+                elems.append((v00, v11, v01))
+        boundary = np.array(
+            [i in (0, n) or j in (0, n) for j in range(n + 1) for i in range(n + 1)]
+        )
+    else:
+        grid = [(i, j, k) for k in range(n + 1) for j in range(n + 1)
+                for i in range(n + 1)]
+        coords = np.array([[i / n, j / n, k / n] for i, j, k in grid])
+        boundary = np.array([any(c in (0, n) for c in p) for p in grid])
+
+        def vid3(i, j, k):
+            return (k * (n + 1) + j) * (n + 1) + i
+
+        perms = (
+            (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
+        )
+        elems = []
+        for k in range(n):
+            for j in range(n):
+                for i in range(n):
+                    for perm in perms:
+                        cur = [i, j, k]
+                        corners = [vid3(*cur)]
+                        for axis in perm:
+                            cur[axis] += 1
+                            corners.append(vid3(*cur))
+                        elems.append(corners)
+    # sorted vertex indices, last two swapped where that makes the volume positive
+    elems = np.sort(np.array(elems, dtype=np.int64), axis=1)
+    pts = coords[elems]
+    flip = np.linalg.det(pts[:, 1:] - pts[:, :1]) < 0.0
+    elems[flip, -2:] = elems[flip, -1:-3:-1]
+    return coords, elems, boundary
+
+
+def loop_patch_sums(mesh, weights):
+    """Reference for patch_sums: np.add.at slot by slot."""
+    local = mesh.interior_map()[mesh.elements]
+    out = np.zeros(mesh.n_interior)
+    for i in range(mesh.dim + 1):
+        sel = local[:, i] >= 0
+        np.add.at(out, local[sel, i], weights[sel])
+    return out
+
+
+def jacobians(mesh):
+    """F'_K of every element, mapping the unit-volume reference simplex onto K."""
+    ref = reference_simplex(mesh.dim)
+    ref_cols = (ref[1:] - ref[0]).T
+    return element_edge_matrices(mesh).transpose(0, 2, 1) @ np.linalg.inv(ref_cols)
+
+
+def in_diameters(mesh):
+    """Inscribed-ball diameters of every element.
+
+    Facet i has measure d |K| |grad lambda_i|, so 2 d |K| / (total facet
+    measure) is 2 / sum_i |grad lambda_i|.
+    """
+    grads = np.linalg.inv(element_edge_matrices(mesh)).transpose(0, 2, 1)
+    norms = np.linalg.norm(grads, axis=2).sum(axis=1)
+    return 2.0 / (norms + np.linalg.norm(grads.sum(axis=1), axis=1))
+
+
+def aspects(mesh):
+    """Average size |K|^(1/d) over the in-diameter, per element."""
+    return element_volumes(mesh) ** (1.0 / mesh.dim) / in_diameters(mesh)
+
+
+def simplex_mesh(pts):
+    """Mesh of disjoint simplices, pts of shape (m, d+1, d)."""
+    m, nloc, dim = pts.shape
+    return SimplicialMesh(dim=dim, vertices=pts.reshape(-1, dim),
+                          elements=np.arange(m * nloc).reshape(m, nloc),
+                          boundary=np.ones(m * nloc, dtype=bool))
 
 
 def chebyshev_interior(n):
@@ -78,6 +176,14 @@ class TestUniformMesh:
         with pytest.raises(ValueError):
             generate_uniform_mesh(2, 1)
 
+    @pytest.mark.parametrize("dim,n", [(1, 7), (2, 5), (2, 32), (3, 4), (3, 8)])
+    def test_matches_loop_reference(self, dim, n):
+        mesh = generate_uniform_mesh(dim, n)
+        coords, elems, boundary = loop_uniform_mesh(dim, n)
+        assert np.array_equal(mesh.vertices, coords)
+        assert np.array_equal(mesh.elements, elems)
+        assert np.array_equal(mesh.boundary, boundary)
+
 
 class TestChebyshevMesh:
     def test_three_elements(self):
@@ -104,9 +210,8 @@ class TestChebyshevMesh:
             generate_chebyshev_mesh(2)
 
 
-def slenderness(mesh, k):
-    geo = element_geometry(mesh, k)
-    return geo.diameter / geo.in_diameter
+def slenderness(mesh):
+    return element_diameters(mesh) / in_diameters(mesh)
 
 
 class TestSkewMesh2d:
@@ -119,7 +224,7 @@ class TestSkewMesh2d:
     def test_thin_element_count(self):
         a = 125.0
         mesh = generate_skew_mesh_2d(16, a)
-        ratios = np.array([slenderness(mesh, k) for k in range(mesh.n_elements)])
+        ratios = slenderness(mesh)
         assert np.count_nonzero(ratios > a / 2) == 2 * 16
         assert ratios.max() < 2 * a
         # the remaining elements keep O(1) shape
@@ -149,7 +254,7 @@ class TestSkewMesh3d:
         a = 25.0
         mesh = generate_skew_mesh_3d(8, a)
         assert element_volumes(mesh).sum() == pytest.approx(1.0, rel=1e-12)
-        ratios = np.array([slenderness(mesh, k) for k in range(mesh.n_elements)])
+        ratios = slenderness(mesh)
         assert np.count_nonzero(ratios > a / 2) == 6 * 64
         assert a / 2 < ratios.max() < 2 * a
         validate_mesh(mesh)
@@ -158,93 +263,57 @@ class TestSkewMesh3d:
 class TestElementGeometry:
     def test_1d_interval(self):
         mesh = generate_uniform_mesh(1, 4)
-        geo = element_geometry(mesh, 0)
-        assert geo.jacobian.ravel() == pytest.approx([0.25])
-        assert geo.volume == pytest.approx(0.25)
-        assert geo.in_diameter == pytest.approx(0.25)
-        assert geo.aspect == pytest.approx(1.0)
+        assert jacobians(mesh)[0].ravel() == pytest.approx([0.25])
+        assert element_volumes(mesh)[0] == pytest.approx(0.25)
+        assert in_diameters(mesh)[0] == pytest.approx(0.25)
+        assert aspects(mesh)[0] == pytest.approx(1.0)
 
     def test_right_triangle(self):
-        mesh = SimplicialMesh(
-            dim=2,
-            vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-            elements=np.array([[0, 2, 1]]),
-            boundary=np.ones(3, dtype=bool),
-        )
-        geo = element_geometry(mesh, 0)
-        assert geo.volume == pytest.approx(0.5)
+        mesh = simplex_mesh(np.array([[[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]]))
+        assert element_volumes(mesh)[0] == pytest.approx(0.5)
         # in-diameter = 2 * inradius = 2 * area / semiperimeter
-        assert geo.in_diameter == pytest.approx(2 * (1 - np.sqrt(2) / 2))
+        assert in_diameters(mesh)[0] == pytest.approx(2 * (1 - np.sqrt(2) / 2))
 
     def test_volume_equals_jacobian_determinant(self):
         rng = np.random.default_rng(42)
-        checked = 0
-        while checked < 1000:
-            dim = int(rng.integers(1, 4))
-            pts = rng.standard_normal((dim + 1, dim))
-            det = np.linalg.det(pts[1:] - pts[0])
-            if abs(det) < 0.3:
-                continue
-            mesh = SimplicialMesh(
-                dim=dim,
-                vertices=pts,
-                elements=np.arange(dim + 1)[None, :],
-                boundary=np.ones(dim + 1, dtype=bool),
-            )
-            geo = element_geometry(mesh, 0)
-            jdet = abs(np.linalg.det(geo.jacobian))
-            assert abs(geo.volume - jdet) <= 1e-14 * geo.volume
-            assert geo.volume == pytest.approx(abs(det) / math.factorial(dim),
-                                               rel=1e-14)
-            checked += 1
+        for dim in (1, 2, 3):
+            pts = rng.standard_normal((1000, dim + 1, dim))
+            det = np.linalg.det(pts[:, 1:] - pts[:, :1])
+            keep = np.abs(det) >= 0.3
+            mesh = simplex_mesh(pts[keep])
+            vols = element_volumes(mesh)
+            jdet = np.abs(np.linalg.det(jacobians(mesh)))
+            assert np.all(np.abs(vols - jdet) <= 1e-14 * vols)
+            assert vols == pytest.approx(np.abs(det[keep]) / math.factorial(dim),
+                                         rel=1e-14)
 
     def test_degenerate_element(self):
-        mesh = SimplicialMesh(
-            dim=2,
-            vertices=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
-            elements=np.array([[0, 1, 2]]),
-            boundary=np.ones(3, dtype=bool),
-        )
-        with pytest.raises(DegenerateElementError):
-            element_geometry(mesh, 0)
+        mesh = simplex_mesh(np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]]))
+        with pytest.raises(DegenerateElementError, match="element 0"):
+            validate_mesh(mesh)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_regular_simplex_minimizes_aspect(self, dim):
-        verts = np.asarray(reference_simplex(dim))
-        mesh = SimplicialMesh(
-            dim=dim,
-            vertices=verts,
-            elements=np.arange(dim + 1)[None, :],
-            boundary=np.ones(dim + 1, dtype=bool),
-        )
-        regular = element_geometry(mesh, 0).aspect
+        regular = aspects(simplex_mesh(np.asarray(reference_simplex(dim))[None]))[0]
         rng = np.random.default_rng(dim)
-        for _ in range(200):
-            pts = rng.standard_normal((dim + 1, dim))
-            if abs(np.linalg.det(pts[1:] - pts[0])) < 0.1:
-                continue
-            other = SimplicialMesh(
-                dim=dim,
-                vertices=pts,
-                elements=np.arange(dim + 1)[None, :],
-                boundary=np.ones(dim + 1, dtype=bool),
-            )
-            assert element_geometry(other, 0).aspect >= regular * (1 - 1e-12)
+        pts = rng.standard_normal((200, dim + 1, dim))
+        keep = np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])) >= 0.1
+        assert np.all(aspects(simplex_mesh(pts[keep])) >= regular * (1 - 1e-12))
 
 
 class TestVertexPatches:
     def test_1d_middle_vertex(self):
         mesh = generate_uniform_mesh(1, 4)
-        patches = vertex_patches(mesh)
-        middle = [p for p in patches if p.vertex == 2][0]
-        assert len(middle.elements) == 2
-        assert middle.volume == pytest.approx(0.5)
+        middle = mesh.interior_map()[2]
+        assert patch_sums(mesh, np.ones(mesh.n_elements))[middle] == 2
+        assert patch_sums(mesh, element_volumes(mesh))[middle] == pytest.approx(0.5)
 
     def test_2d_interior_patches(self):
         mesh = generate_uniform_mesh(2, 4)
-        for patch in vertex_patches(mesh):
-            assert len(patch.elements) == 6
-            assert patch.volume == pytest.approx(6.0 / 32)
+        assert np.all(patch_sums(mesh, np.ones(mesh.n_elements)) == 6)
+        assert patch_sums(mesh, element_volumes(mesh)) == pytest.approx(
+            np.full(mesh.n_interior, 6.0 / 32)
+        )
 
     @pytest.mark.parametrize("make", [
         lambda: generate_uniform_mesh(2, 5),
@@ -254,15 +323,37 @@ class TestVertexPatches:
     ])
     def test_patch_volume_sum_bounded(self, make):
         mesh = make()
-        total = sum(p.volume for p in vertex_patches(mesh))
+        total = patch_sums(mesh, element_volumes(mesh)).sum()
         domain = element_volumes(mesh).sum()
         assert total <= (mesh.dim + 1) * domain + 1e-12
 
     def test_patch_matches_membership(self):
         mesh = generate_skew_mesh_2d(6, 4.0)
-        for patch in vertex_patches(mesh):
-            for k in range(mesh.n_elements):
-                assert (patch.vertex in mesh.elements[k]) == (k in patch.elements)
+        interior = mesh.interior_indices()
+        for k in range(mesh.n_elements):
+            indicator = np.zeros(mesh.n_elements)
+            indicator[k] = 1.0
+            in_patch = patch_sums(mesh, indicator) == 1.0
+            assert np.array_equal(in_patch, np.isin(interior, mesh.elements[k]))
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_chebyshev_mesh(33),
+        lambda: generate_skew_mesh_2d(12, 37.0),
+        lambda: generate_skew_mesh_3d(5, 9.0),
+    ], ids=["1d", "skew2d", "skew3d"])
+    def test_bitwise_equal_to_reference_loop(self, make):
+        mesh = make()
+        rng = np.random.default_rng(mesh.n_elements)
+        weights = element_volumes(mesh) * rng.lognormal(0.0, 3.0, mesh.n_elements)
+        assert np.array_equal(patch_sums(mesh, weights),
+                              loop_patch_sums(mesh, weights))
+        imap = mesh.interior_map()
+        counts = np.zeros(mesh.n_interior)
+        for elem in mesh.elements:
+            for v in elem:
+                if imap[v] >= 0:
+                    counts[imap[v]] += 1
+        assert np.array_equal(patch_sums(mesh, np.ones(mesh.n_elements)), counts)
 
 
 class TestMeshStatistics:
