@@ -35,7 +35,6 @@ from .diffusion import (
     FieldError,
     constant_field,
     element_averages,
-    evaluate_field,
     field_spectral_bounds,
     identity_field,
     parse_field_spec,

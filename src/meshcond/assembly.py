@@ -30,20 +30,24 @@ class AssemblyError(ValueError):
     """Raised when a mesh element cannot be assembled."""
 
 
-def _element_data(mesh):
-    """Signed volumes and basis gradients for all elements.
-
-    Gradients come from the inverse transpose of the vertex-difference
-    matrix; raises AssemblyError naming the first degenerate element.
-    """
-    d = mesh.dim
-    edges = element_edge_matrices(mesh)
-    dets = np.linalg.det(edges)
-    vols = dets / math.factorial(d)
+def _checked_volumes(edges):
+    """Signed volumes from edge matrices; AssemblyError names a degenerate element."""
+    vols = np.linalg.det(edges) / math.factorial(edges.shape[-1])
     bad = ~np.isfinite(vols) | (vols <= 0.0)
     if np.any(bad):
         k = int(np.flatnonzero(bad)[0])
         raise AssemblyError(f"element {k} is degenerate (signed volume {vols[k]})")
+    return vols
+
+
+def _element_data(mesh):
+    """Signed volumes and basis gradients for all elements.
+
+    Gradients come from the inverse transpose of the vertex-difference matrix.
+    """
+    d = mesh.dim
+    edges = element_edge_matrices(mesh)
+    vols = _checked_volumes(edges)
     inv = np.linalg.inv(edges)
     grads = np.empty((mesh.n_elements, d + 1, d))
     grads[:, 1:, :] = inv.transpose(0, 2, 1)
@@ -59,11 +63,10 @@ def _scatter(mesh, local):
     cols = np.broadcast_to(gidx[:, None, :], local.shape)
     keep = (rows >= 0) & (cols >= 0)
     n = mesh.n_interior
-    mat = sp.coo_matrix(
+    # tocsr sums the duplicates and returns canonical CSR
+    return sp.coo_matrix(
         (local[keep], (rows[keep], cols[keep])), shape=(n, n)
     ).tocsr()
-    mat.sum_duplicates()
-    return mat
 
 
 def assemble_stiffness(mesh, field):
@@ -93,7 +96,7 @@ def assemble_mass(mesh):
     diagonal is B_jj = 2 |omega_j| / ((d+1)(d+2)).
     """
     d = mesh.dim
-    vols, _ = _element_data(mesh)
+    vols = _checked_volumes(element_edge_matrices(mesh))
     base = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
     local = vols[:, None, None] * base
     return _scatter(mesh, local)
@@ -114,7 +117,7 @@ def alt_scaling(mesh, field):
     Coincides with the Jacobi scaling of the stiffness matrix in 1D and
     dominates it in general.
     """
-    vols, _ = _element_data(mesh)
+    vols = _checked_volumes(element_edge_matrices(mesh))
     norms = spd_norm2(mapped_metric_tensors(mesh, field))
     return np.sqrt(patch_sums(mesh, vols * norms))
 

@@ -15,11 +15,11 @@ from .bounds import calibrate_constant, mass_condition_bounds, save_calibration
 from .diffusion import parse_field_spec
 from .experiments import (
     analyze_mesh,
+    outside_envelope,
     parse_study_config,
     resolve_calibration,
     run_study,
     write_study_csv,
-    ENVELOPE_SLACK,
 )
 from .mesh import (
     generate_chebyshev_mesh,
@@ -100,12 +100,8 @@ def _cmd_analyze(args):
 
     mass = assemble_mass(mesh)
     mass_exact = extreme_eigenvalues(mass, args.tol)
-    mb = mass_condition_bounds(mesh)
-    lo, hi = mb.two_sided
-    if not lo * (1 - ENVELOPE_SLACK) <= mass_exact.kappa <= hi * (1 + ENVELOPE_SLACK):
-        violations.append(
-            f"mass kappa {mass_exact.kappa:.6e} outside [{lo:.6e}, {hi:.6e}]"
-        )
+    violations += outside_envelope("mass kappa", mass_exact.kappa,
+                                   mass_condition_bounds(mesh).two_sided)
     print(f"wrote report to {args.csv} "
           f"(kappa {row.kappa:.6e}, scaled {row.kappa_scaled:.6e}, "
           f"mass kappa {mass_exact.kappa:.6e})")

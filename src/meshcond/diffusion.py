@@ -23,7 +23,6 @@ __all__ = [
     "constant_field",
     "rotated_anisotropic_field",
     "parse_field_spec",
-    "evaluate_field",
     "element_averages",
     "field_spectral_bounds",
     "mapped_metric_tensors",
@@ -133,23 +132,6 @@ def _rotated_tensors(field, points):
     return out
 
 
-def evaluate_field(field, x):
-    """Evaluate D(x); raises FieldError if the result is not SPD."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (field.dim,):
-        raise ValueError(f"point has shape {x.shape}, field dim is {field.dim}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"point {x} is not finite")
-    if field.kind == "identity":
-        return np.eye(field.dim)
-    if field.kind == "constant":
-        return np.array(field.matrix)
-    mat = _rotated_tensors(field, x[None, :])[0]
-    if np.linalg.eigvalsh(mat).min() <= 0.0:
-        raise FieldError(f"field evaluation at {x} is not positive definite")
-    return mat
-
-
 def _tensors_at(field, points):
     if field.kind == "identity":
         return np.broadcast_to(np.eye(field.dim), (len(points), field.dim, field.dim))
@@ -166,7 +148,7 @@ def element_averages(field, mesh):
     return _tensors_at(field, centers)
 
 
-def field_spectral_bounds(field, mesh=None):
+def field_spectral_bounds(field):
     """Exact field-wide eigenvalue bounds (d_min, d_max) for closed-form kinds."""
     if field.kind == "identity":
         return 1.0, 1.0

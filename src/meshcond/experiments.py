@@ -13,13 +13,11 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .assembly import assemble_stiffness
+from .assembly import assemble_stiffness  # unused; perfbench/tracing.py patches it
 from .bounds import (
     auto_reference_subdivisions,
     calibrate_constant,
     condition_bounds,
-    lambda_max_bounds,
-    lambda_min_bound,
     load_calibration,
 )
 from .diffusion import parse_field_spec
@@ -29,7 +27,6 @@ from .mesh import (
     generate_skew_mesh_3d,
     generate_uniform_mesh,
 )
-from .spectral import ConvergenceError
 
 __all__ = [
     "StudyConfig",
@@ -196,61 +193,53 @@ def _build_mesh(cfg, value):
     return generate_skew_mesh_3d(cfg.n, value), cfg.n, value
 
 
+def outside_envelope(label, value, envelope):
+    """A one-message list if ``value`` lies outside ``envelope`` beyond the slack."""
+    lo, hi = envelope
+    if lo * (1 - ENVELOPE_SLACK) <= value <= hi * (1 + ENVELOPE_SLACK):
+        return []
+    return [f"{label} {value:.6e} outside [{lo:.6e}, {hi:.6e}]"]
+
+
 def envelope_violations(report):
-    """Two-sided envelope failures of a condition report, as messages."""
+    """Two-sided envelope failures of a condition report; failed solves are skipped."""
     out = []
-    lo, hi = report.est_lambda_max
-    slack = ENVELOPE_SLACK
-    if not lo * (1 - slack) <= report.exact.lambda_max <= hi * (1 + slack):
-        out.append(
-            f"lambda_max {report.exact.lambda_max:.6e} outside [{lo:.6e}, {hi:.6e}]"
-        )
-    lo, hi = report.est_lambda_max_scaled
-    if not lo * (1 - slack) <= report.exact_scaled.lambda_max <= hi * (1 + slack):
-        out.append(
-            f"scaled lambda_max {report.exact_scaled.lambda_max:.6e} "
-            f"outside [{lo:.6e}, {hi:.6e}]"
-        )
+    if report.exact is not None:
+        out += outside_envelope("lambda_max", report.exact.lambda_max,
+                                report.est_lambda_max)
+    if report.exact_scaled is not None:
+        out += outside_envelope("scaled lambda_max", report.exact_scaled.lambda_max,
+                                report.est_lambda_max_scaled)
     return out
 
 
+def _exact_columns(result):
+    """(lambda_min, lambda_max, kappa) of a solve, all nan if it failed."""
+    if result is None:
+        return (float("nan"),) * 3
+    return result.lambda_min, result.lambda_max, result.kappa
+
+
 def analyze_mesh(mesh, field, cal, tol=1e-8, n_label=0, aspect_label=1.0):
-    """Condition report for one mesh as a study row plus envelope violations."""
-    try:
-        report = condition_bounds(mesh, field, cal, rel_tol=tol)
-    except ConvergenceError:
-        a = assemble_stiffness(mesh, field)
-        lmax = lambda_max_bounds(a.diagonal(), mesh.dim)
-        lmin = lambda_min_bound(mesh, field, cal, scaled=False)
-        lmin_s = lambda_min_bound(mesh, field, cal, scaled=True)
-        nan = float("nan")
-        row = StudyRow(
-            n=n_label, aspect=aspect_label,
-            n_elements=mesh.n_elements, n_interior=mesh.n_interior,
-            lambda_min=nan, lambda_max=nan, kappa=nan,
-            lambda_min_scaled=nan, lambda_max_scaled=nan, kappa_scaled=nan,
-            est_lambda_min=lmin, est_lambda_min_scaled=lmin_s,
-            est_lambda_max_low=lmax.unscaled[0], est_lambda_max_high=lmax.unscaled[1],
-            est_lambda_max_scaled_low=lmax.scaled[0],
-            est_lambda_max_scaled_high=lmax.scaled[1],
-            est_kappa=lmax.unscaled[1] / lmin,
-            est_kappa_scaled=lmax.scaled[1] / lmin_s,
-            factor_base=nan, factor_d_nonuniformity=nan,
-            factor_d_nonuniformity_scaled=nan, factor_volume=nan,
-            status="no-convergence",
-        )
-        return row, []
+    """Condition report for one mesh as a study row plus envelope violations.
+
+    ``status`` is ``no-convergence`` if either eigensolve failed.
+    """
+    report = condition_bounds(mesh, field, cal, rel_tol=tol)
+    lmin, lmax, kappa = _exact_columns(report.exact)
+    lmin_s, lmax_s, kappa_s = _exact_columns(report.exact_scaled)
+    failed = report.exact is None or report.exact_scaled is None
     row = StudyRow(
         n=n_label,
         aspect=aspect_label,
         n_elements=mesh.n_elements,
         n_interior=mesh.n_interior,
-        lambda_min=report.exact.lambda_min,
-        lambda_max=report.exact.lambda_max,
-        kappa=report.exact.kappa,
-        lambda_min_scaled=report.exact_scaled.lambda_min,
-        lambda_max_scaled=report.exact_scaled.lambda_max,
-        kappa_scaled=report.exact_scaled.kappa,
+        lambda_min=lmin,
+        lambda_max=lmax,
+        kappa=kappa,
+        lambda_min_scaled=lmin_s,
+        lambda_max_scaled=lmax_s,
+        kappa_scaled=kappa_s,
         est_lambda_min=report.est_lambda_min,
         est_lambda_min_scaled=report.est_lambda_min_scaled,
         est_lambda_max_low=report.est_lambda_max[0],
@@ -263,7 +252,7 @@ def analyze_mesh(mesh, field, cal, tol=1e-8, n_label=0, aspect_label=1.0):
         factor_d_nonuniformity=report.factor_d_nonuniformity,
         factor_d_nonuniformity_scaled=report.factor_d_nonuniformity_scaled,
         factor_volume=report.factor_volume,
-        status="ok",
+        status="no-convergence" if failed else "ok",
     )
     return row, envelope_violations(report)
 

@@ -360,6 +360,8 @@ def validate_mesh(mesh):
         raise DegenerateElementError(
             f"element {bad} has non-positive volume {vols[bad]}"
         )
+    if mesh.boundary.all():
+        raise ValueError("mesh has no interior vertex")
     used = np.zeros(mesh.n_vertices, dtype=bool)
     used[mesh.elements.ravel()] = True
     missing = np.flatnonzero(~used & ~mesh.boundary)
@@ -382,6 +384,8 @@ def write_mesh(mesh, path):
 
 def read_mesh(path):
     """Read a mesh written by :func:`write_mesh`.
+
+    Elements are reoriented positively, then checked by :func:`validate_mesh`.
 
     Raises
     ------
@@ -452,5 +456,8 @@ def read_mesh(path):
                 raise MeshFormatError(f"vertex index {v} out of range", line=lineno)
         elements[k] = idx
 
-    return SimplicialMesh(dim=dim, vertices=vertices, elements=elements,
+    elements = _orient_positive(vertices, elements, dim)
+    mesh = SimplicialMesh(dim=dim, vertices=vertices, elements=elements,
                           boundary=boundary)
+    validate_mesh(mesh)
+    return mesh

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from meshcond import cli
-from meshcond.mesh import element_volumes, read_mesh
+from meshcond.mesh import (
+    SimplicialMesh,
+    element_volumes,
+    generate_uniform_mesh,
+    read_mesh,
+    write_mesh,
+)
 from meshcond.spectral import ConvergenceError
 
 
@@ -131,6 +137,58 @@ class TestAnalyze:
         code = run(["analyze", "--mesh", str(mesh_path),
                     "--csv", str(tmp_path / "r.csv")])
         assert code == 2
+
+
+def _orphan_vertex(mesh):
+    return SimplicialMesh(dim=2, vertices=np.vstack([mesh.vertices, [[0.5, 0.5]]]),
+                          elements=mesh.elements,
+                          boundary=np.append(mesh.boundary, False))
+
+
+def _all_boundary(mesh):
+    return SimplicialMesh(dim=2, vertices=mesh.vertices, elements=mesh.elements,
+                          boundary=np.ones(mesh.n_vertices, dtype=bool))
+
+
+def _clockwise(mesh):
+    elements = np.array(mesh.elements)
+    elements[3, [1, 2]] = elements[3, [2, 1]]
+    return SimplicialMesh(dim=2, vertices=mesh.vertices, elements=elements,
+                          boundary=mesh.boundary)
+
+
+class TestMeshFileChecks:
+    @pytest.mark.parametrize("edit, code, message", [
+        (_orphan_vertex, 1, "interior vertex 25 belongs to no element"),
+        (_all_boundary, 1, "mesh has no interior vertex"),
+        (_clockwise, 0, ""),
+    ])
+    def test_analyze(self, tmp_path, capsys, edit, code, message):
+        mesh_path = tmp_path / "m.msh"
+        write_mesh(edit(generate_uniform_mesh(2, 4)), mesh_path)
+        assert run(["analyze", "--mesh", str(mesh_path),
+                    "--csv", str(tmp_path / "r.csv")]) == code
+        err = capsys.readouterr().err
+        assert err == (f"meshcond: error: {message}\n" if code else "")
+
+    def test_analyze_assembles_mass_once(self, tmp_path, monkeypatch):
+        import meshcond.bounds as bounds_mod
+
+        calls = []
+        for module in (cli, bounds_mod):
+            real = module.assemble_mass
+
+            def counted(*args, _real=real, **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "assemble_mass", counted)
+        mesh_path = tmp_path / "u.msh"
+        run(["generate", "--case", "skew3d", "--n", "4", "--aspect", "5",
+             "-o", str(mesh_path)])
+        assert run(["analyze", "--mesh", str(mesh_path),
+                    "--csv", str(tmp_path / "r.csv")]) == 0
+        assert len(calls) == 1
 
 
 class TestStudy:

@@ -3,9 +3,9 @@ import pytest
 
 from meshcond.diffusion import (
     FieldError,
+    _tensors_at,
     constant_field,
     element_averages,
-    evaluate_field,
     field_spectral_bounds,
     identity_field,
     mapped_metric_tensors,
@@ -21,40 +21,38 @@ from meshcond.mesh import (
 )
 
 
+def rotation(psi):
+    return np.array([[np.cos(psi), -np.sin(psi)], [np.sin(psi), np.cos(psi)]])
+
+
 class TestEvaluate:
     def test_identity(self):
         field = identity_field(3)
-        assert np.array_equal(evaluate_field(field, [0.2, 0.4, 0.9]), np.eye(3))
+        points = np.array([[0.2, 0.4, 0.9], [0.0, 1.0, 0.5]])
+        assert np.array_equal(_tensors_at(field, points), np.broadcast_to(
+            np.eye(3), (2, 3, 3)))
 
     def test_rotated_at_origin(self):
         field = rotated_anisotropic_field(1000.0, 1.0)
-        d = evaluate_field(field, [0.0, 0.0])
+        d = _tensors_at(field, np.array([[0.0, 0.0]]))[0]
         assert d == pytest.approx(np.diag([1000.0, 1.0]))
 
     def test_rotated_at_half_pi(self):
         # psi = pi there; rotation by pi leaves the diagonal form unchanged
         field = rotated_anisotropic_field(1000.0, 1.0)
-        d = evaluate_field(field, [np.pi / 2, 0.0])
-        psi = np.pi
-        r = np.array([[np.cos(psi), -np.sin(psi)], [np.sin(psi), np.cos(psi)]])
+        d = _tensors_at(field, np.array([[np.pi / 2, 0.0]]))[0]
+        r = rotation(np.pi)
         expected = r @ np.diag([1000.0, 1.0]) @ r.T
         assert d == pytest.approx(expected)
         assert d == pytest.approx(np.diag([1000.0, 1.0]))
 
     def test_rotated_matches_direct_formula(self):
         field = rotated_anisotropic_field(50.0, 2.0)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            x = rng.uniform(0, 1, 2)
-            psi = np.pi * np.sin(x[0]) * np.cos(x[1])
-            r = np.array([[np.cos(psi), -np.sin(psi)], [np.sin(psi), np.cos(psi)]])
-            assert evaluate_field(field, x) == pytest.approx(
-                r @ np.diag([50.0, 2.0]) @ r.T
-            )
-
-    def test_non_finite_point_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_field(identity_field(1), [np.inf])
+        points = np.random.default_rng(1).uniform(0, 1, (20, 2))
+        mats = _tensors_at(field, points)
+        for x, mat in zip(points, mats):
+            r = rotation(np.pi * np.sin(x[0]) * np.cos(x[1]))
+            assert mat == pytest.approx(r @ np.diag([50.0, 2.0]) @ r.T)
 
 
 class TestConstruction:
@@ -94,9 +92,10 @@ class TestElementAverage:
         mesh = generate_uniform_mesh(2, 3)
         field = rotated_anisotropic_field(10.0, 1.0)
         k = 5
-        center = mesh.vertices[mesh.elements[k]].mean(axis=0)
+        x, y = mesh.vertices[mesh.elements[k]].mean(axis=0)
+        r = rotation(np.pi * np.sin(x) * np.cos(y))
         assert element_averages(field, mesh)[k] == pytest.approx(
-            evaluate_field(field, center)
+            r @ np.diag([10.0, 1.0]) @ r.T
         )
 
     def test_dim_mismatch(self):
@@ -130,10 +129,9 @@ class TestSpectralBounds:
         d_min, d_max = field_spectral_bounds(field)
         rng = np.random.default_rng(11)
         points = rng.uniform(0, 1, (1000, 2))
-        for x in points:
-            eigs = np.linalg.eigvalsh(evaluate_field(field, x))
-            assert eigs[0] >= d_min - 1e-12 * d_max
-            assert eigs[-1] <= d_max * (1 + 1e-12)
+        eigs = np.linalg.eigvalsh(_tensors_at(field, points))
+        assert np.all(eigs[:, 0] >= d_min - 1e-12 * d_max)
+        assert np.all(eigs[:, -1] <= d_max * (1 + 1e-12))
 
 
 class TestParseSpec:

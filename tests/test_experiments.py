@@ -165,3 +165,67 @@ class TestCsvRoundtrip:
         assert CSV_COLUMNS == tuple(
             f.name for f in dataclasses.fields(StudyRow)
         )
+
+
+class TestNoConvergenceRow:
+    """A failed eigensolve blanks only its own exact columns."""
+
+    EXACT = ("lambda_min", "lambda_max", "kappa")
+
+    @pytest.fixture
+    def case(self, cal2):
+        from meshcond.diffusion import rotated_anisotropic_field
+        from meshcond.mesh import generate_skew_mesh_2d
+
+        return generate_skew_mesh_2d(12, 9.0), rotated_anisotropic_field(100.0, 1.0), cal2
+
+    @staticmethod
+    def _count_stiffness(monkeypatch):
+        import meshcond.bounds as bounds_mod
+        import meshcond.experiments as experiments_mod
+
+        calls = []
+        for module in (bounds_mod, experiments_mod):
+            real = module.assemble_stiffness
+
+            def counted(*args, _real=real, **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "assemble_stiffness", counted)
+        return calls
+
+    @pytest.mark.parametrize("fail_unscaled", [True, False])
+    def test_row_keeps_estimates(self, case, monkeypatch, fail_unscaled):
+        import meshcond.bounds as bounds_mod
+        from meshcond.experiments import analyze_mesh
+        from meshcond.spectral import ConvergenceError
+
+        ok, violations = analyze_mesh(*case, n_label=12, aspect_label=9.0)
+        assert ok.status == "ok" and violations == []
+
+        real = bounds_mod.extreme_eigenvalues
+
+        def fake(mat, rel_tol=1e-8):
+            scaled = np.allclose(mat.diagonal(), 1.0)
+            if scaled or fail_unscaled:
+                raise ConvergenceError("forced")
+            return real(mat, rel_tol)
+
+        monkeypatch.setattr(bounds_mod, "extreme_eigenvalues", fake)
+        calls = self._count_stiffness(monkeypatch)
+        row, violations = analyze_mesh(*case, n_label=12, aspect_label=9.0)
+        assert len(calls) == 1
+        assert row.status == "no-convergence"
+        assert violations == []
+        for name in self.EXACT:
+            assert np.isnan(getattr(row, name + "_scaled")), name
+            if fail_unscaled:
+                assert np.isnan(getattr(row, name)), name
+            else:
+                assert getattr(row, name) == pytest.approx(getattr(ok, name), rel=1e-8)
+        for column in CSV_COLUMNS:
+            if column.startswith(("est_", "factor_")):
+                assert getattr(row, column) == getattr(ok, column), column
+        assert (row.n, row.aspect, row.n_elements, row.n_interior) == (
+            ok.n, ok.aspect, ok.n_elements, ok.n_interior)
