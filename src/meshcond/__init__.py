@@ -7,7 +7,6 @@ Jacobi diagonal scaling.
 """
 
 from .assembly import (
-    AssemblyError,
     alt_scaling,
     apply_symmetric_scaling,
     assemble_mass,
@@ -24,11 +23,9 @@ from .bounds import (
     lambda_max_bounds,
     lambda_max_geometric_bound,
     lambda_min_bound,
-    load_calibration,
     m_uniform_bound,
     mass_condition_bounds,
     quality_measures,
-    save_calibration,
 )
 from .diffusion import (
     DiffusionField,
@@ -44,8 +41,10 @@ from .experiments import (
     StudyConfig,
     StudyRow,
     fit_loglog_slope,
+    load_calibration,
     parse_study_config,
     run_study,
+    save_calibration,
     write_study_csv,
 )
 from .mesh import (

@@ -8,36 +8,19 @@ positive entries, one per interior vertex.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy.sparse as sp
 
 from .diffusion import element_averages, mapped_metric_tensors, spd_norm2
-from .mesh import element_edge_matrices, patch_sums
+from .mesh import checked_volumes, element_edge_matrices, patch_sums
 
 __all__ = [
-    "AssemblyError",
     "assemble_stiffness",
     "assemble_mass",
     "jacobi_scaling",
     "alt_scaling",
     "apply_symmetric_scaling",
 ]
-
-
-class AssemblyError(ValueError):
-    """Raised when a mesh element cannot be assembled."""
-
-
-def _checked_volumes(edges):
-    """Signed volumes from edge matrices; AssemblyError names a degenerate element."""
-    vols = np.linalg.det(edges) / math.factorial(edges.shape[-1])
-    bad = ~np.isfinite(vols) | (vols <= 0.0)
-    if np.any(bad):
-        k = int(np.flatnonzero(bad)[0])
-        raise AssemblyError(f"element {k} is degenerate (signed volume {vols[k]})")
-    return vols
 
 
 def _element_data(mesh):
@@ -47,7 +30,7 @@ def _element_data(mesh):
     """
     d = mesh.dim
     edges = element_edge_matrices(mesh)
-    vols = _checked_volumes(edges)
+    vols = checked_volumes(edges)
     inv = np.linalg.inv(edges)
     grads = np.empty((mesh.n_elements, d + 1, d))
     grads[:, 1:, :] = inv.transpose(0, 2, 1)
@@ -96,7 +79,7 @@ def assemble_mass(mesh):
     diagonal is B_jj = 2 |omega_j| / ((d+1)(d+2)).
     """
     d = mesh.dim
-    vols = _checked_volumes(element_edge_matrices(mesh))
+    vols = checked_volumes(element_edge_matrices(mesh))
     base = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
     local = vols[:, None, None] * base
     return _scatter(mesh, local)
@@ -117,7 +100,7 @@ def alt_scaling(mesh, field):
     Coincides with the Jacobi scaling of the stiffness matrix in 1D and
     dominates it in general.
     """
-    vols = _checked_volumes(element_edge_matrices(mesh))
+    vols = checked_volumes(element_edge_matrices(mesh))
     norms = spd_norm2(mapped_metric_tensors(mesh, field))
     return np.sqrt(patch_sums(mesh, vols * norms))
 

@@ -52,8 +52,6 @@ __all__ = [
     "m_uniform_bound",
     "calibrate_constant",
     "auto_reference_subdivisions",
-    "save_calibration",
-    "load_calibration",
 ]
 
 
@@ -76,11 +74,16 @@ class QualityMeasures:
 
 @dataclass(frozen=True)
 class CalibrationConstant:
-    """Single generic constant of the lower bounds, fitted on a uniform mesh."""
+    """Single generic constant of the lower bounds, fitted on a uniform mesh.
+
+    ``field`` is the canonical spec of the diffusion field the constant was
+    fitted for; it is valid only for that field and dimension.
+    """
 
     c: float
     dim: int
     n_ref: int
+    field: str
     provenance: str
 
 
@@ -415,38 +418,7 @@ def calibrate_constant(dim, field, n_ref, rel_tol=1e-8):
         c=lmin / raw,
         dim=dim,
         n_ref=n_ref,
-        provenance=(
-            f"uniform dim={dim} n={n_ref} N={mesh.n_elements} field={field.spec}"
-        ),
+        field=field.spec,
+        provenance=f"uniform dim={dim} n={n_ref} N={mesh.n_elements}",
     )
 
-
-def save_calibration(cal, path, field_spec="identity"):
-    """Write a calibration constant as key = value lines."""
-    with open(path, "w") as fh:
-        fh.write(f"dim = {cal.dim}\n")
-        fh.write(f"c = {cal.c:.17g}\n")
-        fh.write(f"field = {field_spec}\n")
-        fh.write(f"n_ref = {cal.n_ref}\n")
-
-
-def load_calibration(path):
-    """Read a calibration constant written by :func:`save_calibration`."""
-    values = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    try:
-        dim = int(values["dim"])
-        c = float(values["c"])
-        n_ref = int(values["n_ref"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed calibration file {path}: {exc}") from exc
-    if c <= 0.0 or not math.isfinite(c):
-        raise ValueError(f"calibration constant must be positive, got {c}")
-    provenance = f"file:{path} field={values.get('field', 'unknown')}"
-    return CalibrationConstant(c=c, dim=dim, n_ref=n_ref, provenance=provenance)

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .assembly import assemble_mass
-from .bounds import calibrate_constant, mass_condition_bounds, save_calibration
+from .bounds import calibrate_constant, mass_condition_bounds
 from .diffusion import parse_field_spec
 from .experiments import (
     analyze_mesh,
@@ -19,6 +19,7 @@ from .experiments import (
     parse_study_config,
     resolve_calibration,
     run_study,
+    save_calibration,
     write_study_csv,
 )
 from .mesh import (
@@ -75,6 +76,13 @@ def _build_parser():
     return parser
 
 
+def _exit_code(violations):
+    """2 after printing each envelope violation, 0 if there is none."""
+    for msg in violations:
+        print(f"envelope violation: {msg}", file=sys.stderr)
+    return 2 if violations else 0
+
+
 def _cmd_generate(args):
     if args.case == "chebyshev":
         mesh = generate_chebyshev_mesh(args.n)
@@ -96,20 +104,15 @@ def _cmd_analyze(args):
     cal = resolve_calibration(args.calibration, mesh.dim, field)
     row, violations = analyze_mesh(mesh, field, cal, tol=args.tol,
                                    n_label=mesh.n_elements)
-    write_study_csv([row], args.csv)
-
-    mass = assemble_mass(mesh)
-    mass_exact = extreme_eigenvalues(mass, args.tol)
+    mass_exact = extreme_eigenvalues(assemble_mass(mesh), args.tol)
     violations += outside_envelope("mass kappa", mass_exact.kappa,
                                    mass_condition_bounds(mesh).two_sided)
+    # written only once every solve has succeeded, so a failure leaves no report
+    write_study_csv([row], args.csv)
     print(f"wrote report to {args.csv} "
           f"(kappa {row.kappa:.6e}, scaled {row.kappa_scaled:.6e}, "
           f"mass kappa {mass_exact.kappa:.6e})")
-    if violations:
-        for msg in violations:
-            print(f"envelope violation: {msg}", file=sys.stderr)
-        return 2
-    return 0
+    return _exit_code(violations)
 
 
 def _cmd_study(args):
@@ -117,18 +120,15 @@ def _cmd_study(args):
     rows, violations = run_study(cfg)
     write_study_csv(rows, args.csv)
     print(f"wrote {len(rows)} rows to {args.csv}")
-    if violations:
-        for msg in violations:
-            print(f"envelope violation: {msg}", file=sys.stderr)
-        return 2
-    return 0
+    return _exit_code(violations)
 
 
 def _cmd_calibrate(args):
     field = parse_field_spec(args.field, args.dim)
     cal = calibrate_constant(args.dim, field, args.n_ref)
-    save_calibration(cal, args.output, field_spec=args.field)
-    print(f"calibrated c = {cal.c:.12g} on {cal.provenance}; wrote {args.output}")
+    save_calibration(cal, args.output)
+    print(f"calibrated c = {cal.c:.12g} for {cal.field} on {cal.provenance}; "
+          f"wrote {args.output}")
     return 0
 
 

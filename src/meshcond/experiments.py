@@ -15,10 +15,10 @@ import numpy as np
 
 from .assembly import assemble_stiffness  # unused; perfbench/tracing.py patches it
 from .bounds import (
+    CalibrationConstant,
     auto_reference_subdivisions,
     calibrate_constant,
     condition_bounds,
-    load_calibration,
 )
 from .diffusion import parse_field_spec
 from .mesh import (
@@ -33,6 +33,8 @@ __all__ = [
     "StudyRow",
     "CSV_COLUMNS",
     "parse_study_config",
+    "save_calibration",
+    "load_calibration",
     "run_study",
     "analyze_mesh",
     "envelope_violations",
@@ -119,43 +121,56 @@ def _parse_sweep(text, cast):
     return values
 
 
-def parse_study_config(path):
-    """Read a study configuration from ``key = value`` lines."""
-    raw = {}
+def _read_key_values(path, casts, required):
+    """The ``key = value`` lines of a file, each value converted by ``casts[key]``.
+
+    A ``#`` starts a comment anywhere on a line.  A line without ``=``, an
+    unknown or repeated key, a bad value or a missing ``required`` key raises
+    ValueError naming the file and line.
+    """
+    values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            line = line.partition("#")[0].strip()
+            if not line:
                 continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            raw[key.strip()] = value.strip()
-    if "case" not in raw:
-        raise ValueError(f"{path}: missing 'case'")
-    case = raw["case"]
-    if case not in STUDY_CASES:
-        raise ValueError(f"unknown case {case!r}, expected one of {STUDY_CASES}")
-    cfg = StudyConfig(
-        case=case,
-        n_values=_parse_sweep(raw["n_values"], int) if "n_values" in raw else (),
-        aspect_values=(
-            _parse_sweep(raw["aspect_values"], float)
-            if "aspect_values" in raw
-            else ()
-        ),
-        n=int(raw.get("n", 0)),
-        aspect=float(raw.get("aspect", 1.0)),
-        dim=int(raw.get("dim", 0)),
-        field=raw.get("field", "identity"),
-        tol=float(raw.get("tol", 1e-8)),
-        calibration=raw.get("calibration", "auto"),
-    )
-    _check_config(cfg)
+            key, sep, value = (part.strip() for part in line.partition("="))
+            try:
+                if not sep:
+                    raise ValueError(f"expected 'key = value', got {line!r}")
+                if key not in casts:
+                    raise ValueError(f"unknown key {key!r}, expected {tuple(casts)}")
+                if key in values:
+                    raise ValueError(f"repeated key {key!r}")
+                values[key] = casts[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    missing = [key for key in required if key not in values]
+    if missing:
+        raise ValueError(f"{path}: missing {', '.join(map(repr, missing))}")
+    return values
+
+
+_STUDY_CASTS = {f.name: str for f in dataclass_fields(StudyConfig)} | {
+    "n_values": lambda text: _parse_sweep(text, int),
+    "aspect_values": lambda text: _parse_sweep(text, float),
+    "n": int, "aspect": float, "dim": int, "tol": float,
+}
+
+
+def parse_study_config(path):
+    """Read a study from ``key = value`` lines; absent keys keep their defaults."""
+    cfg = StudyConfig(**_read_key_values(path, _STUDY_CASTS, required=("case",)))
+    try:
+        _check_config(cfg)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return cfg
 
 
 def _check_config(cfg):
+    if cfg.case not in STUDY_CASES:
+        raise ValueError(f"unknown case {cfg.case!r}, expected one of {STUDY_CASES}")
     if cfg.case.endswith("-aspect"):
         if not cfg.aspect_values:
             raise ValueError(f"case {cfg.case} needs aspect_values")
@@ -257,17 +272,42 @@ def analyze_mesh(mesh, field, cal, tol=1e-8, n_label=0, aspect_label=1.0):
     return row, envelope_violations(report)
 
 
+_CALIBRATION_CASTS = {"dim": int, "c": float, "field": str, "n_ref": int}
+
+
+def save_calibration(cal, path):
+    """Write a calibration constant as ``key = value`` lines."""
+    with open(path, "w") as fh:
+        fh.write(f"dim = {cal.dim}\nc = {cal.c:.17g}\nfield = {cal.field}\n"
+                 f"n_ref = {cal.n_ref}\n")
+
+
+def load_calibration(path):
+    """Read a file written by :func:`save_calibration`; every key is required."""
+    raw = _read_key_values(path, _CALIBRATION_CASTS, required=tuple(_CALIBRATION_CASTS))
+    try:
+        if not 0.0 < raw["c"] < math.inf:
+            raise ValueError(f"calibration constant must be positive, got {raw['c']}")
+        field = parse_field_spec(raw["field"], raw["dim"]).spec
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return CalibrationConstant(c=raw["c"], dim=raw["dim"], n_ref=raw["n_ref"],
+                               field=field, provenance=f"file:{path}")
+
+
 def resolve_calibration(spec, dim, field):
     """Calibration constant for dimension ``dim``: ``spec`` is a file or ``auto``.
 
     ``auto`` fits the constant for ``field`` on the largest uniform
-    reference mesh with at most 2000 unknowns.
+    reference mesh with at most 2000 unknowns.  A file must have been
+    fitted for the same dimension and field.
     """
     if spec == "auto":
         return calibrate_constant(dim, field, auto_reference_subdivisions(dim))
     cal = load_calibration(spec)
-    if cal.dim != dim:
-        raise ValueError(f"calibration is for d={cal.dim}, the mesh has d={dim}")
+    if (cal.dim, cal.field) != (dim, field.spec):
+        raise ValueError(f"calibration {spec} is for d={cal.dim} field={cal.field}, "
+                         f"the analysis has d={dim} field={field.spec}")
     return cal
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "generate_skew_mesh_3d",
     "element_volumes",
     "element_edge_matrices",
+    "checked_volumes",
     "patch_sums",
     "mesh_statistics",
     "validate_mesh",
@@ -193,6 +194,20 @@ def element_edge_matrices(mesh):
     return pts[:, 1:, :] - pts[:, :1, :]
 
 
+def checked_volumes(edges):
+    """Signed volumes from edge matrices (ne, d, d).
+
+    Raises DegenerateElementError naming the first element whose volume is
+    not positive and finite.
+    """
+    vols = np.linalg.det(edges) / math.factorial(edges.shape[-1])
+    bad = ~np.isfinite(vols) | (vols <= 0.0)
+    if np.any(bad):
+        k = int(np.flatnonzero(bad)[0])
+        raise DegenerateElementError(f"element {k} is degenerate (volume {vols[k]})")
+    return vols
+
+
 def element_diameters(mesh):
     """Longest-edge lengths of all elements, shape (ne,)."""
     pts = mesh.vertices[mesh.elements]
@@ -354,12 +369,7 @@ def mesh_statistics(mesh):
 
 def validate_mesh(mesh):
     """Check the structural mesh invariants; raise ValueError on failure."""
-    vols = _signed_volumes(mesh.vertices, mesh.elements, mesh.dim)
-    if not np.all(np.isfinite(vols)) or np.any(vols <= 0.0):
-        bad = int(np.argmin(vols))
-        raise DegenerateElementError(
-            f"element {bad} has non-positive volume {vols[bad]}"
-        )
+    checked_volumes(element_edge_matrices(mesh))
     if mesh.boundary.all():
         raise ValueError("mesh has no interior vertex")
     used = np.zeros(mesh.n_vertices, dtype=bool)

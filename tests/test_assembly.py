@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from meshcond.assembly import (
-    AssemblyError,
     alt_scaling,
     apply_symmetric_scaling,
     assemble_mass,
@@ -16,6 +15,7 @@ from meshcond.diffusion import (
     spd_norm2,
 )
 from meshcond.mesh import (
+    DegenerateElementError,
     SimplicialMesh,
     element_volumes,
     generate_chebyshev_mesh,
@@ -102,8 +102,11 @@ class TestStiffness:
         elems = np.array([[0, 1, 2], [1, 3, 3]])  # second element collapsed
         mesh = SimplicialMesh(dim=2, vertices=verts, elements=elems,
                               boundary=np.ones(4, dtype=bool))
-        with pytest.raises(AssemblyError, match="element 1"):
-            assemble_stiffness(mesh, identity_field(2))
+        for assemble in (lambda m: assemble_stiffness(m, identity_field(2)),
+                         assemble_mass,
+                         lambda m: alt_scaling(m, identity_field(2))):
+            with pytest.raises(DegenerateElementError, match="element 1 is degenerate"):
+                assemble(mesh)
 
 
 class TestMass:

@@ -14,18 +14,16 @@ from meshcond.bounds import (
     lambda_max_bounds,
     lambda_max_geometric_bound,
     lambda_min_bound,
-    load_calibration,
     m_uniform_bound,
     mass_condition_bounds,
     quality_measures,
-    save_calibration,
 )
 from meshcond.diffusion import (
     element_averages,
     identity_field,
     rotated_anisotropic_field,
 )
-from meshcond.experiments import fit_loglog_slope
+from meshcond.experiments import fit_loglog_slope, load_calibration, save_calibration
 from meshcond.mesh import (
     SimplicialMesh,
     generate_chebyshev_mesh,
@@ -277,11 +275,12 @@ class TestCalibration:
 
     def test_file_roundtrip(self, tmp_path, cal2):
         path = tmp_path / "cal.txt"
-        save_calibration(cal2, path, field_spec="identity")
+        save_calibration(cal2, path)
         back = load_calibration(path)
         assert back.dim == cal2.dim
         assert back.c == cal2.c
         assert back.n_ref == cal2.n_ref
+        assert back.field == cal2.field == "identity"
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meshcond import cli
+from meshcond.experiments import load_calibration
 from meshcond.mesh import (
     SimplicialMesh,
     element_volumes,
@@ -58,6 +59,60 @@ class TestCalibrate:
         assert "dim = 1" in text
         c = float([l for l in text.splitlines() if l.startswith("c =")][0][3:])
         assert c == pytest.approx(np.pi ** 2, rel=0.02)
+
+    def test_writes_canonical_field(self, tmp_path):
+        out = tmp_path / "cal.txt"
+        assert run(["calibrate", "--dim", "2", "--field", "rotated",
+                    "--n-ref", "4", "-o", str(out)]) == 0
+        assert "field = rotated:1000,1\n" in out.read_text()
+
+
+def _skew_mesh(tmp_path):
+    mesh_path = tmp_path / "s.msh"
+    run(["generate", "--case", "skew2d", "--n", "8", "--aspect", "4",
+         "-o", str(mesh_path)])
+    return mesh_path
+
+
+class TestCalibrationFile:
+    CAL = "dim = 2\nc = 9.5\nfield = {field}\nn_ref = 8\n"
+
+    def analyze(self, tmp_path, cal_text, field):
+        cal_path = tmp_path / "cal.txt"
+        cal_path.write_text(cal_text)
+        return run(["analyze", "--mesh", str(_skew_mesh(tmp_path)), "--field", field,
+                    "--calibration", str(cal_path), "--csv", str(tmp_path / "r.csv")])
+
+    @pytest.mark.parametrize("cal_text, message", [
+        (CAL.format(field="identity") + "junk\n", "cal.txt:5: expected 'key = value'"),
+        ("dim = 2\nc = 9.5\nn_ref = 8\n", "cal.txt: missing 'field'"),
+        (CAL.format(field="identity") + "c = 1\n", "cal.txt:5: repeated key 'c'"),
+        (CAL.format(field="identity") + "order = 1\n", "cal.txt:5: unknown key 'order'"),
+        (CAL.format(field="checkerboard"), "unknown field spec 'checkerboard'"),
+        (CAL.format(field="identity").replace("9.5", "nan"), "must be positive"),
+    ], ids=["junk-line", "no-field", "repeated-key", "unknown-key", "unknown-field",
+            "nan-constant"])
+    def test_malformed_file_exits_one(self, tmp_path, capsys, cal_text, message):
+        assert self.analyze(tmp_path, cal_text, "identity") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert message in err
+
+    def test_other_field_exits_one(self, tmp_path, capsys):
+        cal_path = tmp_path / "cal.txt"
+        assert run(["calibrate", "--dim", "2", "--field", "rotated:1000,1",
+                    "--n-ref", "4", "-o", str(cal_path)]) == 0
+        code = run(["analyze", "--mesh", str(_skew_mesh(tmp_path)), "--field", "identity",
+                    "--calibration", str(cal_path), "--csv", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "field=rotated:1000,1" in err and "field=identity" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_field_matched_in_canonical_form(self, tmp_path):
+        cal_text = self.CAL.format(field="rotated  # default l1, l2")
+        assert self.analyze(tmp_path, cal_text, "rotated:1000,1") == 0
+        assert load_calibration(tmp_path / "cal.txt").field == "rotated:1000,1"
 
 
 class TestAnalyze:
@@ -119,6 +174,17 @@ class TestAnalyze:
         assert code == 1
         assert err == "meshcond: error: mass eigensolve did not converge\n"
 
+    def test_mass_eigensolve_failure_leaves_no_report(self, tmp_path, monkeypatch):
+        def fail(mat, rel_tol):
+            raise ConvergenceError("mass eigensolve did not converge")
+
+        mesh_path = tmp_path / "u.msh"
+        run(["generate", "--case", "uniform1d", "--n", "8", "-o", str(mesh_path)])
+        monkeypatch.setattr(cli, "extreme_eigenvalues", fail)
+        csv_path = tmp_path / "r.csv"
+        assert run(["analyze", "--mesh", str(mesh_path), "--csv", str(csv_path)]) == 1
+        assert not csv_path.exists()
+
     def test_envelope_violation_exits_two(self, tmp_path, monkeypatch):
         # the envelopes are theorems, so fake a violating analysis to check
         # the exit-code wiring
@@ -137,6 +203,7 @@ class TestAnalyze:
         code = run(["analyze", "--mesh", str(mesh_path),
                     "--csv", str(tmp_path / "r.csv")])
         assert code == 2
+        assert len(read_csv(tmp_path / "r.csv")) == 1
 
 
 def _orphan_vertex(mesh):
@@ -204,6 +271,15 @@ class TestStudy:
         assert run(["study", "--config", str(cfg), "--csv", str(csv_path)]) == 0
         rows = read_csv(csv_path)
         assert [int(r["n"]) for r in rows] == [32, 64, 128]
+
+    def test_misspelled_key_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("case = chebyshev\nn_values = 32, 64, 128\ntolerance = 1e-3\n")
+        assert run(["study", "--config", str(cfg),
+                    "--csv", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"meshcond: error: {cfg}:3: unknown key 'tolerance'")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_bad_config_exits_one(self, tmp_path):
         cfg = tmp_path / "study.cfg"

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from meshcond.experiments import (
     StudyConfig,
     envelope_violations,
     fit_loglog_slope,
+    load_calibration,
     parse_study_config,
     run_study,
     study_dimension,
@@ -71,6 +74,58 @@ class TestConfigParsing:
     def test_uniform_needs_dim(self):
         with pytest.raises(ValueError, match="dim"):
             run_study(StudyConfig(case="uniform", n_values=(4, 8)))
+
+    def test_run_study_rejects_unknown_case(self):
+        with pytest.raises(ValueError, match="unknown case 'spiral'"):
+            run_study(StudyConfig(case="spiral", n_values=(4, 8)))
+
+    def test_comment_anywhere_on_a_line(self, tmp_path):
+        path = tmp_path / "study.cfg"
+        path.write_text("case = chebyshev   # 1D\nn_values = 64, 128, 256#sizes\n"
+                        "  # indented comment\ntol = 1e-6 # looser\n")
+        cfg = parse_study_config(path)
+        assert (cfg.case, cfg.n_values, cfg.tol) == ("chebyshev", (64, 128, 256), 1e-6)
+
+    @pytest.mark.parametrize("line, message", [
+        ("tolerance = 1e-3", "study.cfg:3: unknown key 'tolerance'"),
+        ("n_values = 8, 16", "study.cfg:3: repeated key 'n_values'"),
+        ("tol 1e-3", "study.cfg:3: expected 'key = value'"),
+        ("tol = tight", "study.cfg:3: could not convert string to float: 'tight'"),
+        ("dim = 2.5", "study.cfg:3: invalid literal for int()"),
+    ], ids=["unknown-key", "repeated-key", "no-equals", "bad-float", "bad-int"])
+    def test_bad_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "study.cfg"
+        path.write_text(f"case = chebyshev\nn_values = 64, 128, 256\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_study_config(path)
+
+    def test_missing_case_names_file(self, tmp_path):
+        path = tmp_path / "study.cfg"
+        path.write_text("n_values = 64, 128, 256\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing 'case'")):
+            parse_study_config(path)
+
+
+def _readme_block(heading):
+    """The first fenced block after a heading of the README."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(re.escape(heading) + r".*?```\n(.*?)```", text, re.S).group(1)
+
+
+class TestReadmeExamples:
+    def test_study_block_parses(self, tmp_path):
+        path = tmp_path / "study.cfg"
+        path.write_text(_readme_block("### Study configuration"))
+        cfg = parse_study_config(path)
+        assert (cfg.case, cfg.n, cfg.field, cfg.calibration) == (
+            "skew2d-aspect", 100, "identity", "auto")
+        assert cfg.aspect_values == (4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+
+    def test_calibration_block_loads(self, tmp_path):
+        path = tmp_path / "cal.txt"
+        path.write_text(_readme_block("### Calibration file format"))
+        cal = load_calibration(path)
+        assert (cal.dim, cal.field, cal.n_ref) == (1, "identity", 1024)
 
 
 class TestRunStudy:

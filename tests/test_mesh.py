@@ -292,6 +292,14 @@ class TestElementGeometry:
         with pytest.raises(DegenerateElementError, match="element 0"):
             validate_mesh(mesh)
 
+    def test_first_degenerate_element_named(self):
+        # element 1 is flat, element 2 inverted with the smaller volume
+        mesh = simplex_mesh(np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                      [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                                      [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]]))
+        with pytest.raises(DegenerateElementError, match="element 1 is degenerate"):
+            validate_mesh(mesh)
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_regular_simplex_minimizes_aspect(self, dim):
         regular = aspects(simplex_mesh(np.asarray(reference_simplex(dim))[None]))[0]
@@ -440,14 +448,35 @@ class TestMeshIO:
         with pytest.raises(MeshFormatError, match="header"):
             read_mesh(path)
 
-    def test_index_out_of_range(self, tmp_path):
-        path = tmp_path / "oob.msh"
-        path.write_text(
-            "meshcond v1 dim=1 nv=2 ne=1\n0 1\n1 1\n0 2\n"
-        )
-        with pytest.raises(MeshFormatError, match="out of range") as err:
+    # (file text, message, line): one row per error read_mesh reports by line
+    MALFORMED = {
+        "header-field": ("meshcond v1 dim=x nv=2 ne=1\n0 1\n1 1\n0 1\n",
+                         "malformed header field 'dim=x'", 1),
+        "header-values": ("meshcond v1 dim=4 nv=2 ne=1\n0 1\n1 1\n0 1\n",
+                          "invalid header values dim=4 nv=2 ne=1", 1),
+        "vertex-field-count": ("meshcond v1 dim=1 nv=2 ne=1\n0 1\n1\n0 1\n",
+                               "expected 2 fields on vertex line, got 1", 3),
+        "coordinate": ("meshcond v1 dim=1 nv=2 ne=1\nzero 1\n1 1\n0 1\n",
+                       "bad coordinate in ['zero']", 2),
+        "boundary-flag": ("meshcond v1 dim=1 nv=2 ne=1\n0 1\n1 yes\n0 1\n",
+                          "boundary flag must be 0 or 1, got 'yes'", 3),
+        "element-field-count": ("meshcond v1 dim=1 nv=2 ne=1\n0 1\n1 1\n0 1 1\n",
+                                "expected 2 vertex indices, got 3", 4),
+        "index-token": ("meshcond v1 dim=1 nv=2 ne=1\n0 1\n1 1\n0 one\n",
+                        "bad vertex index in ['0', 'one']", 4),
+        "index-out-of-range": ("meshcond v1 dim=1 nv=2 ne=1\n0 1\n1 1\n0 2\n",
+                               "vertex index 2 out of range", 4),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_line(self, tmp_path, case):
+        text, message, line = self.MALFORMED[case]
+        path = tmp_path / "bad.msh"
+        path.write_text(text)
+        with pytest.raises(MeshFormatError) as err:
             read_mesh(path)
-        assert err.value.line == 4
+        assert str(err.value) == f"line {line}: {message}"
+        assert err.value.line == line
 
     def test_non_finite_coordinate(self, tmp_path):
         path = tmp_path / "nan.msh"

@@ -10,6 +10,7 @@ from meshcond.assembly import (
 )
 from meshcond.diffusion import identity_field
 from meshcond.mesh import generate_chebyshev_mesh, generate_uniform_mesh
+import meshcond.spectral as spectral
 from meshcond.spectral import (
     ConvergenceError,
     cg_iteration_count,
@@ -90,6 +91,23 @@ class TestExtremeEigenvalues:
         scaled = apply_symmetric_scaling(a, jacobi_scaling(a))
         result = extreme_eigenvalues(scaled, 1e-8)
         assert result.lambda_max >= 1.0 - 1e-12
+
+    def test_small_path_measures_its_residual(self, monkeypatch):
+        def no_oracle(mat):
+            raise AssertionError("the small path must not call the oracle")
+
+        monkeypatch.setattr(spectral, "dense_eigenvalues_oracle", no_oracle)
+        a = assemble_stiffness(generate_chebyshev_mesh(64), identity_field(1))
+        for mat in (a, apply_symmetric_scaling(a, jacobi_scaling(a))):
+            assert mat.shape[0] == 63
+            eigs = np.linalg.eigvalsh(mat.toarray())
+            result = extreme_eigenvalues(mat, 1e-8)
+            assert result.lambda_min == pytest.approx(eigs[0], rel=1e-12)
+            assert result.lambda_max == pytest.approx(eigs[-1], rel=1e-12)
+            assert 0.0 < result.rel_tol_achieved <= 1e-8
+            # a measured residual, so a tolerance below it is refused
+            with pytest.raises(ConvergenceError, match="residual"):
+                extreme_eigenvalues(mat, 1e-18)
 
 
 class TestDenseOracle:
