@@ -8,11 +8,13 @@ positive entries, one per interior vertex.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
 from .diffusion import element_averages, mapped_metric_tensors, spd_norm2
-from .mesh import checked_volumes, element_edge_matrices, patch_sums
+from .mesh import element_edge_matrices, element_volumes, patch_sums
 
 __all__ = [
     "assemble_stiffness",
@@ -24,13 +26,13 @@ __all__ = [
 
 
 def _element_data(mesh):
-    """Signed volumes and basis gradients for all elements.
+    """Volumes and basis gradients for all elements.
 
     Gradients come from the inverse transpose of the vertex-difference matrix.
     """
     d = mesh.dim
     edges = element_edge_matrices(mesh)
-    vols = checked_volumes(edges)
+    vols = np.linalg.det(edges) / math.factorial(d)
     inv = np.linalg.inv(edges)
     grads = np.empty((mesh.n_elements, d + 1, d))
     grads[:, 1:, :] = inv.transpose(0, 2, 1)
@@ -79,7 +81,7 @@ def assemble_mass(mesh):
     diagonal is B_jj = 2 |omega_j| / ((d+1)(d+2)).
     """
     d = mesh.dim
-    vols = checked_volumes(element_edge_matrices(mesh))
+    vols = element_volumes(mesh)
     base = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
     local = vols[:, None, None] * base
     return _scatter(mesh, local)
@@ -100,7 +102,7 @@ def alt_scaling(mesh, field):
     Coincides with the Jacobi scaling of the stiffness matrix in 1D and
     dominates it in general.
     """
-    vols = checked_volumes(element_edge_matrices(mesh))
+    vols = element_volumes(mesh)
     norms = spd_norm2(mapped_metric_tensors(mesh, field))
     return np.sqrt(patch_sums(mesh, vols * norms))
 

@@ -51,6 +51,7 @@ __all__ = [
     "condition_bounds",
     "m_uniform_bound",
     "calibrate_constant",
+    "check_calibration",
     "auto_reference_subdivisions",
 ]
 
@@ -298,8 +299,7 @@ def lambda_min_bound(mesh, field, cal, scaled=False):
     Scaled (Jacobi): c N^(-2/d) divided by the D-nonuniformity factor and,
     in 2D, the residual logarithmic factor.
     """
-    if cal.dim != mesh.dim:
-        raise ValueError(f"calibration is for d={cal.dim}, mesh has d={mesh.dim}")
+    check_calibration(cal, mesh.dim, field)
     d_min, _ = field_spectral_bounds(field)
     return _lambda_min_bound(_ElementData.of(mesh, field), d_min, cal, scaled)
 
@@ -333,6 +333,7 @@ def condition_bounds(mesh, field, cal, rel_tol=1e-8):
     """
     d = mesh.dim
     n = mesh.n_elements
+    check_calibration(cal, d, field)
     a = assemble_stiffness(mesh, field)
     scaled = apply_symmetric_scaling(a, jacobi_scaling(a))
     exact = _eigenvalues_or_none(a, rel_tol)
@@ -368,8 +369,7 @@ def m_uniform_bound(mesh, field, metric, cal):
     (sum_K |K| ||M_K D_K||_2^(d/2))^(2/d), where sigma_{h,M} uses the
     metric volumes |K| det(M_K)^(1/2).
     """
-    if cal.dim != mesh.dim:
-        raise ValueError(f"calibration is for d={cal.dim}, mesh has d={mesh.dim}")
+    check_calibration(cal, mesh.dim, field)
     d = mesh.dim
     metric = np.asarray(metric, dtype=float)
     if metric.shape != (mesh.n_elements, d, d):
@@ -384,6 +384,13 @@ def m_uniform_bound(mesh, field, metric, cal):
     d_min, _ = field_spectral_bounds(field)
     n = mesh.n_elements
     return cal.c / d_min * (n / sigma_hm) ** (2.0 / d) * term
+
+
+def check_calibration(cal, dim, field):
+    """Raise ValueError unless ``cal`` was fitted for dimension ``dim`` and ``field``."""
+    if (cal.dim, cal.field) != (dim, field.spec):
+        raise ValueError(f"calibration {cal.provenance} is for d={cal.dim} "
+                         f"field={cal.field}, the analysis has d={dim} field={field.spec}")
 
 
 def auto_reference_subdivisions(dim):

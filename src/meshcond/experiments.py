@@ -18,6 +18,7 @@ from .bounds import (
     CalibrationConstant,
     auto_reference_subdivisions,
     calibrate_constant,
+    check_calibration,
     condition_bounds,
 )
 from .diffusion import parse_field_spec
@@ -305,9 +306,7 @@ def resolve_calibration(spec, dim, field):
     if spec == "auto":
         return calibrate_constant(dim, field, auto_reference_subdivisions(dim))
     cal = load_calibration(spec)
-    if (cal.dim, cal.field) != (dim, field.spec):
-        raise ValueError(f"calibration {spec} is for d={cal.dim} field={cal.field}, "
-                         f"the analysis has d={dim} field={field.spec}")
+    check_calibration(cal, dim, field)
     return cal
 
 

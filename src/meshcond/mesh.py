@@ -28,10 +28,8 @@ __all__ = [
     "generate_skew_mesh_3d",
     "element_volumes",
     "element_edge_matrices",
-    "checked_volumes",
     "patch_sums",
     "mesh_statistics",
-    "validate_mesh",
     "write_mesh",
     "read_mesh",
 ]
@@ -65,6 +63,11 @@ class SimplicialMesh:
         Vertex indices of each simplex, positively oriented.
     boundary : ndarray of bool, shape (nv,)
         True for vertices on the domain boundary.
+
+    Construction is the one validity check: it sorts each element's
+    vertices and reorders them to positive orientation, raises
+    DegenerateElementError for the first element with zero or non-finite
+    volume, and rejects an interior vertex that belongs to no element.
     """
 
     dim: int
@@ -88,6 +91,12 @@ class SimplicialMesh:
             raise ValueError("boundary flags must match vertex count")
         if elements.size and (elements.min() < 0 or elements.max() >= len(vertices)):
             raise ValueError("element vertex index out of range")
+        elements = _orient_positive(vertices, elements, self.dim)
+        used = np.zeros(len(vertices), dtype=bool)
+        used[elements.ravel()] = True
+        missing = np.flatnonzero(~used & ~boundary)
+        if missing.size:
+            raise ValueError(f"interior vertex {missing[0]} belongs to no element")
         for arr in (vertices, elements, boundary):
             arr.flags.writeable = False
         object.__setattr__(self, "vertices", vertices)
@@ -106,14 +115,17 @@ class SimplicialMesh:
     def n_interior(self):
         return int(np.count_nonzero(~self.boundary))
 
-    def interior_indices(self):
-        """Indices of interior vertices, in vertex order."""
-        return np.flatnonzero(~self.boundary)
-
     def interior_map(self):
-        """Map vertex index -> interior unknown index, -1 for boundary."""
+        """Map vertex index -> interior unknown index, -1 for boundary.
+
+        Raises ValueError for a mesh with no interior vertex, whose matrices
+        and patch sums would be empty.
+        """
+        n = self.n_interior
+        if n == 0:
+            raise ValueError("mesh has no interior vertex")
         imap = np.full(self.n_vertices, -1, dtype=np.int64)
-        imap[~self.boundary] = np.arange(self.n_interior)
+        imap[~self.boundary] = np.arange(n)
         return imap
 
 
@@ -184,28 +196,14 @@ def _signed_volumes(vertices, elements, dim):
 
 
 def element_volumes(mesh):
-    """Volumes of all elements, shape (ne,)."""
-    return np.abs(_signed_volumes(mesh.vertices, mesh.elements, mesh.dim))
+    """Volumes of all elements, shape (ne,); positive by construction."""
+    return _signed_volumes(mesh.vertices, mesh.elements, mesh.dim)
 
 
 def element_edge_matrices(mesh):
     """Edge matrices of all elements, shape (ne, d, d); row i is p_i - p_0."""
     pts = mesh.vertices[mesh.elements]
     return pts[:, 1:, :] - pts[:, :1, :]
-
-
-def checked_volumes(edges):
-    """Signed volumes from edge matrices (ne, d, d).
-
-    Raises DegenerateElementError naming the first element whose volume is
-    not positive and finite.
-    """
-    vols = np.linalg.det(edges) / math.factorial(edges.shape[-1])
-    bad = ~np.isfinite(vols) | (vols <= 0.0)
-    if np.any(bad):
-        k = int(np.flatnonzero(bad)[0])
-        raise DegenerateElementError(f"element {k} is degenerate (volume {vols[k]})")
-    return vols
 
 
 def element_diameters(mesh):
@@ -221,9 +219,17 @@ def element_diameters(mesh):
 
 
 def _orient_positive(vertices, elements, dim):
-    """Return elements reordered so every signed volume is positive."""
+    """Return elements reordered so every signed volume is positive.
+
+    Raises DegenerateElementError naming the first element whose volume is
+    zero or not finite.
+    """
     elements = np.sort(elements, axis=1)
     vols = _signed_volumes(vertices, elements, dim)
+    bad = ~np.isfinite(vols) | (vols == 0.0)
+    if np.any(bad):
+        k = int(np.flatnonzero(bad)[0])
+        raise DegenerateElementError(f"element {k} is degenerate (volume {vols[k]})")
     flip = vols < 0.0
     if np.any(flip):
         elements[flip, -2], elements[flip, -1] = (
@@ -266,7 +272,6 @@ def generate_uniform_mesh(dim, n):
         for perm in itertools.permutations(range(dim))
     ])
     elems = ((cells @ strides)[:, None, None] + offsets).reshape(-1, dim + 1)
-    elems = _orient_positive(coords, elems, dim)
     return SimplicialMesh(dim=dim, vertices=coords, elements=elems, boundary=boundary)
 
 
@@ -367,18 +372,6 @@ def mesh_statistics(mesh):
     )
 
 
-def validate_mesh(mesh):
-    """Check the structural mesh invariants; raise ValueError on failure."""
-    checked_volumes(element_edge_matrices(mesh))
-    if mesh.boundary.all():
-        raise ValueError("mesh has no interior vertex")
-    used = np.zeros(mesh.n_vertices, dtype=bool)
-    used[mesh.elements.ravel()] = True
-    missing = np.flatnonzero(~used & ~mesh.boundary)
-    if missing.size:
-        raise ValueError(f"interior vertex {missing[0]} belongs to no element")
-
-
 def write_mesh(mesh, path):
     """Write a mesh in the plain-text format read back by :func:`read_mesh`."""
     with open(path, "w") as fh:
@@ -395,7 +388,7 @@ def write_mesh(mesh, path):
 def read_mesh(path):
     """Read a mesh written by :func:`write_mesh`.
 
-    Elements are reoriented positively, then checked by :func:`validate_mesh`.
+    The :class:`SimplicialMesh` constructor orients and checks the elements.
 
     Raises
     ------
@@ -466,8 +459,5 @@ def read_mesh(path):
                 raise MeshFormatError(f"vertex index {v} out of range", line=lineno)
         elements[k] = idx
 
-    elements = _orient_positive(vertices, elements, dim)
-    mesh = SimplicialMesh(dim=dim, vertices=vertices, elements=elements,
+    return SimplicialMesh(dim=dim, vertices=vertices, elements=elements,
                           boundary=boundary)
-    validate_mesh(mesh)
-    return mesh

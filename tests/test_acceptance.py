@@ -22,7 +22,6 @@ from meshcond.diffusion import constant_field, identity_field, rotated_anisotrop
 from meshcond.experiments import StudyConfig, fit_loglog_slope, run_study
 from meshcond.mesh import (
     SimplicialMesh,
-    _orient_positive,
     element_volumes,
     generate_chebyshev_mesh,
     generate_skew_mesh_2d,
@@ -281,8 +280,8 @@ def test_criterion_7_quality(battery):
             w, q = np.linalg.eigh(d_mat)
             fprime = 1.3 * (q * np.sqrt(w)) @ q.T
             verts = ref @ fprime.T
-            elems = _orient_positive(verts, np.arange(dim + 1)[None, :], dim)
-            mesh = SimplicialMesh(dim=dim, vertices=verts, elements=elems,
+            mesh = SimplicialMesh(dim=dim, vertices=verts,
+                                  elements=np.arange(dim + 1)[None, :],
                                   boundary=np.ones(dim + 1, dtype=bool))
             qm = quality_measures(mesh, constant_field(d_mat))
             assert qm.q_ali[0] == pytest.approx(1.0, rel=1e-10)

@@ -100,13 +100,9 @@ class TestStiffness:
     def test_degenerate_element_named(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         elems = np.array([[0, 1, 2], [1, 3, 3]])  # second element collapsed
-        mesh = SimplicialMesh(dim=2, vertices=verts, elements=elems,
-                              boundary=np.ones(4, dtype=bool))
-        for assemble in (lambda m: assemble_stiffness(m, identity_field(2)),
-                         assemble_mass,
-                         lambda m: alt_scaling(m, identity_field(2))):
-            with pytest.raises(DegenerateElementError, match="element 1 is degenerate"):
-                assemble(mesh)
+        with pytest.raises(DegenerateElementError, match="element 1 is degenerate"):
+            SimplicialMesh(dim=2, vertices=verts, elements=elems,
+                           boundary=np.ones(4, dtype=bool))
 
 
 class TestMass:

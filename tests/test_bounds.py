@@ -159,8 +159,6 @@ class TestQualityMeasures:
                 elements=np.arange(dim + 1)[None, :],
                 boundary=np.ones(dim + 1, dtype=bool),
             )
-            if np.linalg.det(pts[1:] - pts[0]) < 0:
-                continue
             qm = quality_measures(mesh, constant_field(d_mat))
             assert qm.q_ali[0] >= 1.0 - 1e-10
             checked += 1
@@ -183,14 +181,14 @@ class TestQualityMeasures:
         # piecewise constant, so evaluate the measures per single-element
         # mesh and pool the metric volumes for the equidistribution ratio
         from meshcond.diffusion import constant_field
-        from meshcond.mesh import _orient_positive, element_volumes
+        from meshcond.mesh import element_volumes
 
         rng = np.random.default_rng(dim)
         pieces = metric_uniform_elements(rng, dim, 6)
         metric_vols = []
         for verts, d_mat in pieces:
-            elems = _orient_positive(verts, np.arange(dim + 1)[None, :], dim)
-            mesh = SimplicialMesh(dim=dim, vertices=verts, elements=elems,
+            mesh = SimplicialMesh(dim=dim, vertices=verts,
+                                  elements=np.arange(dim + 1)[None, :],
                                   boundary=np.ones(dim + 1, dtype=bool))
             qm = quality_measures(mesh, constant_field(d_mat))
             assert qm.q_ali[0] == pytest.approx(1.0, rel=1e-10)
@@ -287,6 +285,29 @@ class TestCalibration:
         path.write_text("dim = 2\nc = minus\n")
         with pytest.raises(ValueError):
             load_calibration(path)
+
+
+class TestCalibrationCheck:
+    """A constant holds only for the dimension and field it was fitted for."""
+
+    @pytest.mark.parametrize("compute", [
+        condition_bounds,
+        lambda_min_bound,
+        lambda mesh, field, cal: m_uniform_bound(
+            mesh, field, np.broadcast_to(np.eye(2), (mesh.n_elements, 2, 2)), cal),
+    ], ids=["condition_bounds", "lambda_min_bound", "m_uniform_bound"])
+    def test_other_field_rejected(self, cal2, compute):
+        mesh = generate_skew_mesh_2d(8, 4.0)
+        with pytest.raises(ValueError, match=(
+                r"calibration uniform dim=2 n=32 N=2048 is for d=2 field=identity, "
+                r"the analysis has d=2 field=rotated:1000,1")):
+            compute(mesh, rotated_anisotropic_field(1000.0, 1.0), cal2)
+
+    def test_other_dimension_rejected(self, cal1):
+        mesh = generate_skew_mesh_2d(8, 4.0)
+        with pytest.raises(ValueError, match=(
+                r"is for d=1 field=identity, the analysis has d=2 field=identity")):
+            condition_bounds(mesh, identity_field(2), cal1)
 
 
 class TestConditionBounds:

@@ -6,7 +6,6 @@ import pytest
 from meshcond import cli
 from meshcond.experiments import load_calibration
 from meshcond.mesh import (
-    SimplicialMesh,
     element_volumes,
     generate_uniform_mesh,
     read_mesh,
@@ -206,22 +205,20 @@ class TestAnalyze:
         assert len(read_csv(tmp_path / "r.csv")) == 1
 
 
-def _orphan_vertex(mesh):
-    return SimplicialMesh(dim=2, vertices=np.vstack([mesh.vertices, [[0.5, 0.5]]]),
-                          elements=mesh.elements,
-                          boundary=np.append(mesh.boundary, False))
+# Text edits of the uniform 2D n=4 mesh file: a header line, 25 vertex
+# lines ending in the boundary flag, then 32 element lines.
+
+def _orphan_vertex(lines):
+    return [lines[0].replace("nv=25", "nv=26"), *lines[1:26], "0.5 0.5 0", *lines[26:]]
 
 
-def _all_boundary(mesh):
-    return SimplicialMesh(dim=2, vertices=mesh.vertices, elements=mesh.elements,
-                          boundary=np.ones(mesh.n_vertices, dtype=bool))
+def _all_boundary(lines):
+    return [lines[0], *(line[:-1] + "1" for line in lines[1:26]), *lines[26:]]
 
 
-def _clockwise(mesh):
-    elements = np.array(mesh.elements)
-    elements[3, [1, 2]] = elements[3, [2, 1]]
-    return SimplicialMesh(dim=2, vertices=mesh.vertices, elements=elements,
-                          boundary=mesh.boundary)
+def _clockwise(lines):
+    i0, i1, i2 = lines[29].split()  # element 3
+    return [*lines[:29], f"{i0} {i2} {i1}", *lines[30:]]
 
 
 class TestMeshFileChecks:
@@ -232,7 +229,9 @@ class TestMeshFileChecks:
     ])
     def test_analyze(self, tmp_path, capsys, edit, code, message):
         mesh_path = tmp_path / "m.msh"
-        write_mesh(edit(generate_uniform_mesh(2, 4)), mesh_path)
+        write_mesh(generate_uniform_mesh(2, 4), mesh_path)
+        lines = mesh_path.read_text().splitlines()
+        mesh_path.write_text("\n".join(edit(lines)) + "\n")
         assert run(["analyze", "--mesh", str(mesh_path),
                     "--csv", str(tmp_path / "r.csv")]) == code
         err = capsys.readouterr().err

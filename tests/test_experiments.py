@@ -228,11 +228,13 @@ class TestNoConvergenceRow:
     EXACT = ("lambda_min", "lambda_max", "kappa")
 
     @pytest.fixture
-    def case(self, cal2):
+    def case(self):
+        from meshcond.bounds import calibrate_constant
         from meshcond.diffusion import rotated_anisotropic_field
         from meshcond.mesh import generate_skew_mesh_2d
 
-        return generate_skew_mesh_2d(12, 9.0), rotated_anisotropic_field(100.0, 1.0), cal2
+        field = rotated_anisotropic_field(100.0, 1.0)
+        return generate_skew_mesh_2d(12, 9.0), field, calibrate_constant(2, field, 32)
 
     @staticmethod
     def _count_stiffness(monkeypatch):

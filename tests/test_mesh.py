@@ -3,6 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from meshcond.assembly import assemble_mass, assemble_stiffness
+from meshcond.bounds import (
+    condition_bounds,
+    lambda_max_geometric_bound,
+    mass_condition_bounds,
+)
+from meshcond.diffusion import identity_field
 from meshcond.mesh import (
     DegenerateElementError,
     MeshFormatError,
@@ -19,7 +26,6 @@ from meshcond.mesh import (
     read_mesh,
     reference_gradient_bound,
     reference_simplex,
-    validate_mesh,
     write_mesh,
 )
 
@@ -148,6 +154,53 @@ class TestReferenceSimplex:
         assert reference_gradient_bound(dim) < 1.0
 
 
+class TestConstruction:
+    """The constructor is the one validity check of a hand-built mesh."""
+
+    @staticmethod
+    def rebuilt(elements=None, boundary=None):
+        """Uniform 2D n=4 mesh built by hand, with edited elements or flags."""
+        uni = generate_uniform_mesh(2, 4)
+        return SimplicialMesh(
+            dim=2, vertices=uni.vertices,
+            elements=uni.elements if elements is None else elements,
+            boundary=uni.boundary if boundary is None else boundary,
+        )
+
+    def test_clockwise_element_reoriented(self, cal2):
+        uni = generate_uniform_mesh(2, 4)
+        elements = np.array(uni.elements)
+        elements[3, [1, 2]] = elements[3, [2, 1]]
+        mesh = self.rebuilt(elements=elements)
+        assert np.array_equal(mesh.elements, uni.elements)
+        field = identity_field(2)
+        assert (assemble_stiffness(mesh, field) != assemble_stiffness(uni, field)).nnz == 0
+        assert condition_bounds(mesh, field, cal2) == condition_bounds(uni, field, cal2)
+
+    def test_collapsed_element_named(self):
+        elements = np.array(generate_uniform_mesh(2, 4).elements)
+        elements[5, 2] = elements[5, 1]
+        with pytest.raises(DegenerateElementError, match="element 5 is degenerate"):
+            self.rebuilt(elements=elements)
+
+    def test_orphan_interior_vertex(self):
+        uni = generate_uniform_mesh(2, 4)
+        with pytest.raises(ValueError, match="interior vertex 25 belongs to no element"):
+            SimplicialMesh(dim=2, vertices=np.vstack([uni.vertices, [[0.5, 0.5]]]),
+                           elements=uni.elements, boundary=np.append(uni.boundary, False))
+
+    def test_no_interior_vertex_rejected_by_interior_map(self, cal2):
+        mesh = self.rebuilt(boundary=np.ones(25, dtype=bool))
+        field = identity_field(2)
+        for compute in (lambda: assemble_stiffness(mesh, field),
+                        lambda: assemble_mass(mesh),
+                        lambda: condition_bounds(mesh, field, cal2),
+                        lambda: mass_condition_bounds(mesh),
+                        lambda: lambda_max_geometric_bound(mesh, field)):
+            with pytest.raises(ValueError, match="mesh has no interior vertex"):
+                compute()
+
+
 class TestUniformMesh:
     def test_1d_counts(self):
         mesh = generate_uniform_mesh(1, 4)
@@ -169,7 +222,6 @@ class TestUniformMesh:
     @pytest.mark.parametrize("dim,n", [(1, 7), (2, 5), (3, 3)])
     def test_valid_and_unit_volume(self, dim, n):
         mesh = generate_uniform_mesh(dim, n)
-        validate_mesh(mesh)
         assert element_volumes(mesh).sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_small_n(self):
@@ -234,7 +286,6 @@ class TestSkewMesh2d:
     def test_area_preserved(self):
         mesh = generate_skew_mesh_2d(16, 125.0)
         assert element_volumes(mesh).sum() == pytest.approx(1.0, rel=1e-12)
-        validate_mesh(mesh)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -257,7 +308,6 @@ class TestSkewMesh3d:
         ratios = slenderness(mesh)
         assert np.count_nonzero(ratios > a / 2) == 6 * 64
         assert a / 2 < ratios.max() < 2 * a
-        validate_mesh(mesh)
 
 
 class TestElementGeometry:
@@ -288,17 +338,17 @@ class TestElementGeometry:
                                          rel=1e-14)
 
     def test_degenerate_element(self):
-        mesh = simplex_mesh(np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]]))
         with pytest.raises(DegenerateElementError, match="element 0"):
-            validate_mesh(mesh)
+            simplex_mesh(np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]]))
 
     def test_first_degenerate_element_named(self):
-        # element 1 is flat, element 2 inverted with the smaller volume
-        mesh = simplex_mesh(np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-                                      [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
-                                      [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]]))
+        # element 1 is flat, element 2 inverted (reoriented, not rejected),
+        # element 3 has a non-finite volume
         with pytest.raises(DegenerateElementError, match="element 1 is degenerate"):
-            validate_mesh(mesh)
+            simplex_mesh(np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                   [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                                   [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]],
+                                   [[0.0, 0.0], [np.inf, 0.0], [0.0, 1.0]]]))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_regular_simplex_minimizes_aspect(self, dim):
@@ -337,7 +387,7 @@ class TestVertexPatches:
 
     def test_patch_matches_membership(self):
         mesh = generate_skew_mesh_2d(6, 4.0)
-        interior = mesh.interior_indices()
+        interior = np.flatnonzero(~mesh.boundary)
         for k in range(mesh.n_elements):
             indicator = np.zeros(mesh.n_elements)
             indicator[k] = 1.0
@@ -428,7 +478,6 @@ class TestMeshIO:
         path = tmp_path / "m.msh"
         for i in range(100):
             mesh = random_mesh(rng, i)
-            validate_mesh(mesh)
             write_mesh(mesh, path)
             back = read_mesh(path)
             assert back.dim == mesh.dim
