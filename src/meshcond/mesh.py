@@ -209,13 +209,8 @@ def element_edge_matrices(mesh):
 def element_diameters(mesh):
     """Longest-edge lengths of all elements, shape (ne,)."""
     pts = mesh.vertices[mesh.elements]
-    nloc = mesh.dim + 1
-    dmax = np.zeros(mesh.n_elements)
-    for i in range(nloc):
-        for j in range(i + 1, nloc):
-            dij = np.linalg.norm(pts[:, i, :] - pts[:, j, :], axis=1)
-            np.maximum(dmax, dij, out=dmax)
-    return dmax
+    i, j = np.triu_indices(mesh.dim + 1, k=1)
+    return np.linalg.norm(pts[:, i] - pts[:, j], axis=2).max(axis=1)
 
 
 def _orient_positive(vertices, elements, dim):
@@ -259,6 +254,12 @@ def generate_uniform_mesh(dim, n):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
+    coords, elems, boundary = _uniform_grid(dim, n)
+    return SimplicialMesh(dim=dim, vertices=coords, elements=elems, boundary=boundary)
+
+
+def _uniform_grid(dim, n):
+    """Vertex coordinates, Kuhn-split elements and boundary flags of the grid."""
     # grid points and cell origins, first axis varying fastest
     grid = np.indices((n + 1,) * dim).reshape(dim, -1)[::-1].T
     cells = np.indices((n,) * dim).reshape(dim, -1)[::-1].T
@@ -272,7 +273,7 @@ def generate_uniform_mesh(dim, n):
         for perm in itertools.permutations(range(dim))
     ])
     elems = ((cells @ strides)[:, None, None] + offsets).reshape(-1, dim + 1)
-    return SimplicialMesh(dim=dim, vertices=coords, elements=elems, boundary=boundary)
+    return coords, elems, boundary
 
 
 def generate_chebyshev_mesh(n):
@@ -287,19 +288,21 @@ def generate_chebyshev_mesh(n):
     i = np.arange(1, n)
     interior = 0.5 * (1.0 - np.cos((2 * i - 1) * np.pi / (2 * (n - 1))))
     coords = np.concatenate(([0.0], interior, [1.0]))[:, None]
-    elems = np.array([[j, j + 1] for j in range(n)], dtype=np.int64)
+    elems = np.arange(n, dtype=np.int64)[:, None] + np.arange(2)
     boundary = np.zeros(n + 1, dtype=bool)
     boundary[[0, n]] = True
     return SimplicialMesh(dim=1, vertices=coords, elements=elems, boundary=boundary)
 
 
-def _shift_grid_layer(mesh, n, aspect, axis):
-    """Move the grid layer nearest the domain mid-plane toward its neighbor.
+def _skew_mesh(dim, n, aspect):
+    """Uniform mesh whose grid layer nearest the last axis' mid-plane moves down.
 
-    The layer of cells below the moved line gets thickness (1/n)/aspect; the
-    layer above absorbs the difference.  aspect == 1 leaves the mesh
+    The layer of cells below the moved plane gets thickness (1/n)/aspect;
+    the layer above absorbs the difference.  aspect == 1 leaves the mesh
     bit-for-bit identical to the uniform one.
     """
+    if n < 4:
+        raise ValueError(f"n must be at least 4, got {n}")
     if aspect < 1.0:
         raise ValueError(f"aspect must be at least 1, got {aspect}")
     j0 = (n + 1) // 2
@@ -308,13 +311,9 @@ def _shift_grid_layer(mesh, n, aspect, axis):
         raise ValueError(
             f"aspect {aspect} moves the grid layer across a neighboring line"
         )
-    coords = np.array(mesh.vertices)
-    old_pos = j0 / n
-    onlayer = coords[:, axis] == old_pos
-    coords[onlayer, axis] = new_pos
-    return SimplicialMesh(
-        dim=mesh.dim, vertices=coords, elements=mesh.elements, boundary=mesh.boundary
-    )
+    coords, elems, boundary = _uniform_grid(dim, n)
+    coords[coords[:, -1] == j0 / n, -1] = new_pos
+    return SimplicialMesh(dim=dim, vertices=coords, elements=elems, boundary=boundary)
 
 
 def generate_skew_mesh_2d(n, aspect):
@@ -325,9 +324,7 @@ def generate_skew_mesh_2d(n, aspect):
     shape.  ``aspect == 1`` reproduces ``generate_uniform_mesh(2, n)``
     vertex for vertex.
     """
-    if n < 4:
-        raise ValueError(f"n must be at least 4, got {n}")
-    return _shift_grid_layer(generate_uniform_mesh(2, n), n, aspect, axis=1)
+    return _skew_mesh(2, n, aspect)
 
 
 def generate_skew_mesh_3d(n, aspect):
@@ -336,9 +333,7 @@ def generate_skew_mesh_3d(n, aspect):
     Yields 6 n^2 thin tetrahedra; ``aspect == 1`` reproduces
     ``generate_uniform_mesh(3, n)`` vertex for vertex.
     """
-    if n < 4:
-        raise ValueError(f"n must be at least 4, got {n}")
-    return _shift_grid_layer(generate_uniform_mesh(3, n), n, aspect, axis=2)
+    return _skew_mesh(3, n, aspect)
 
 
 def patch_sums(mesh, weights):
@@ -393,8 +388,9 @@ def read_mesh(path):
     Raises
     ------
     MeshFormatError
-        On a malformed header, out-of-range vertex index or non-finite
-        coordinate; the error message carries the offending line number.
+        On a malformed header, out-of-range vertex index, non-finite
+        coordinate or non-blank text after the declared lines; the error
+        message carries the offending line number.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -419,6 +415,12 @@ def read_mesh(path):
         raise MeshFormatError(
             f"expected {1 + nv + ne} lines, file has {len(lines)}", line=len(lines)
         )
+    for lineno, line in enumerate(lines[1 + nv + ne:], start=2 + nv + ne):
+        if line.strip():
+            raise MeshFormatError(
+                f"text after the {nv} vertex and {ne} element lines: {line!r}",
+                line=lineno,
+            )
 
     vertices = np.empty((nv, dim))
     boundary = np.empty(nv, dtype=bool)

@@ -3,14 +3,15 @@
 The production path computes extreme eigenvalues iteratively (Lanczos for
 the largest, shift-and-invert Lanczos with a sparse factorization for the
 smallest), or with LAPACK for small orders.  The dense oracle is an
-independent in-repo eigensolver (Householder tridiagonalization followed
-by an implicit-shift QL sweep) used to verify the production path at desk
-scale.
+independent in-repo solver for the same two extremes (Householder
+tridiagonalization followed by Sturm-sequence bisection) used to verify the
+production path at desk scale.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -146,66 +147,56 @@ def _householder_tridiagonalize(a):
     return np.diag(a).copy(), np.diag(a, -1).copy()
 
 
-def _ql_implicit(d, e, max_sweeps=100):
-    """Eigenvalues of a symmetric tridiagonal matrix via implicit-shift QL."""
-    n = len(d)
-    d = np.array(d, dtype=float)
-    e = np.append(np.array(e, dtype=float), 0.0)
-    eps = np.finfo(float).eps
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = n - 1
-            for mm in range(l, n - 1):
-                dd = abs(d[mm]) + abs(d[mm + 1])
-                if abs(e[mm]) <= eps * dd:
-                    m = mm
-                    break
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise ConvergenceError(
-                    f"QL sweep for eigenvalue {l} did not deflate "
-                    f"(offdiagonal {e[l]:.3e})"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return np.sort(d)
+def _sturm_count(d, e2, x):
+    """Number of eigenvalues of the tridiagonal at or below x.
+
+    By Sylvester's law of inertia this is the number of negative pivots in
+    the LDL^T factorization of T - xI.  A zero pivot is taken as a tiny
+    negative one; the next pivot may then overflow to an infinity of the
+    right sign, which IEEE arithmetic carries through.
+    """
+    count = 0
+    q = 1.0
+    for di, ei2 in zip(d, e2):
+        q = di - x - ei2 / q
+        if q == 0.0:
+            q = -sys.float_info.min
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def _tridiagonal_extremes(d, e):
+    """Smallest and largest eigenvalue of a symmetric tridiagonal matrix.
+
+    Sturm-sequence bisection (Parlett, *The Symmetric Eigenvalue Problem*,
+    ch. 7) from the Gershgorin interval, widened by a few rounding errors.
+    The bracket is halved until no float lies strictly inside it, so the
+    loop always terminates.
+    """
+    radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
+    lo0, hi0 = float(np.min(d - radius)), float(np.max(d + radius))
+    pad = 2.0 * len(d) * sys.float_info.epsilon * max(abs(lo0), abs(hi0))
+    d, e2 = d.tolist(), [0.0] + (e * e).tolist()
+    extremes = []
+    for k in (0, len(d) - 1):
+        # invariant: _sturm_count(lo) <= k < _sturm_count(hi)
+        lo, hi = lo0 - pad, hi0 + pad
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if _sturm_count(d, e2, mid) > k:
+                hi = mid
+            else:
+                lo = mid
+        extremes.append(hi)
+    return extremes
 
 
 def _refine_extreme(a, lam, steps=3):
     """Sharpen one extreme eigenvalue by inverse iteration on the dense matrix.
 
-    The QL value has absolute accuracy O(eps * ||A||), which for badly
-    conditioned matrices is a poor relative accuracy at the small end of
-    the spectrum; a few inverse-iteration steps restore it.
+    The value from the tridiagonal has absolute accuracy O(eps * ||A||),
+    which for badly conditioned matrices is a poor relative accuracy at the
+    small end of the spectrum; a few inverse-iteration steps restore it.
     """
     n = a.shape[0]
     # Offset the shift so an exact eigenvalue never yields a singular factor.
@@ -234,12 +225,13 @@ def _refine_extreme(a, lam, steps=3):
 
 
 def dense_eigenvalues_oracle(mat):
-    """All eigenvalues of a symmetric matrix, sorted ascending.
+    """Smallest and largest eigenvalue of a symmetric matrix, ``[lmin, lmax]``.
 
-    Independent verification path: in-repo Householder tridiagonalization
-    plus an implicit-shift QL sweep; the two extreme eigenvalues are then
-    polished by inverse iteration so they are accurate in a relative sense
-    even for large condition numbers.
+    Independent verification path that calls no LAPACK eigensolver:
+    in-repo Householder tridiagonalization, Sturm-sequence bisection for
+    the two extremes of the tridiagonal, then inverse iteration on the
+    dense matrix so both are accurate in a relative sense even for large
+    condition numbers.
     """
     a = mat.toarray() if sp.issparse(mat) else np.array(mat, dtype=float)
     n = a.shape[0]
@@ -250,13 +242,8 @@ def dense_eigenvalues_oracle(mat):
     scale = np.abs(a).max()
     if scale > 0 and np.abs(a - a.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    if n == 1:
-        return np.array([a[0, 0]])
     d, e = _householder_tridiagonalize(a.copy())
-    eigs = _ql_implicit(d, e)
-    eigs[0] = _refine_extreme(a, eigs[0])
-    eigs[-1] = _refine_extreme(a, eigs[-1])
-    return np.sort(eigs)
+    return np.array([_refine_extreme(a, lam) for lam in _tridiagonal_extremes(d, e)])
 
 
 def cg_iteration_count(mat, rhs, tol, scaling=None, maxiter=None):

@@ -216,6 +216,10 @@ def _all_boundary(lines):
     return [lines[0], *(line[:-1] + "1" for line in lines[1:26]), *lines[26:]]
 
 
+def _trailing_text(lines):
+    return [*lines, "0 1 2", "hello world"]
+
+
 def _clockwise(lines):
     i0, i1, i2 = lines[29].split()  # element 3
     return [*lines[:29], f"{i0} {i2} {i1}", *lines[30:]]
@@ -225,6 +229,8 @@ class TestMeshFileChecks:
     @pytest.mark.parametrize("edit, code, message", [
         (_orphan_vertex, 1, "interior vertex 25 belongs to no element"),
         (_all_boundary, 1, "mesh has no interior vertex"),
+        (_trailing_text, 1,
+         "line 59: text after the 25 vertex and 32 element lines: '0 1 2'"),
         (_clockwise, 0, ""),
     ])
     def test_analyze(self, tmp_path, capsys, edit, code, message):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import meshcond.mesh as mesh_module
 from meshcond.assembly import assemble_mass, assemble_stiffness
 from meshcond.bounds import (
     condition_bounds,
@@ -94,6 +95,16 @@ def loop_patch_sums(mesh, weights):
         sel = local[:, i] >= 0
         np.add.at(out, local[sel, i], weights[sel])
     return out
+
+
+def loop_diameters(mesh):
+    """Reference for element_diameters: one vertex pair at a time."""
+    pts = mesh.vertices[mesh.elements]
+    dmax = np.zeros(mesh.n_elements)
+    for i in range(mesh.dim + 1):
+        for j in range(i + 1, mesh.dim + 1):
+            np.maximum(dmax, np.linalg.norm(pts[:, i] - pts[:, j], axis=1), out=dmax)
+    return dmax
 
 
 def jacobians(mesh):
@@ -244,6 +255,7 @@ class TestChebyshevMesh:
         assert x == pytest.approx([0.5 * (1 - np.cos(np.pi / 4)),
                                    0.5 * (1 - np.cos(3 * np.pi / 4))])
         assert mesh.vertices.ravel() == pytest.approx([0.0, x[0], x[1], 1.0])
+        assert mesh.elements.tolist() == [[0, 1], [1, 2], [2, 3]]
         assert element_volumes(mesh) == pytest.approx(
             [0.14644660940672624, 0.7071067811865476, 0.14644660940672624]
         )
@@ -308,6 +320,20 @@ class TestSkewMesh3d:
         ratios = slenderness(mesh)
         assert np.count_nonzero(ratios > a / 2) == 6 * 64
         assert a / 2 < ratios.max() < 2 * a
+
+
+@pytest.mark.parametrize("generate", [generate_skew_mesh_2d, generate_skew_mesh_3d])
+def test_skew_mesh_constructed_once(monkeypatch, generate):
+    calls = []
+    real = mesh_module._orient_positive
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(mesh_module, "_orient_positive", counted)
+    generate(5, 8.0)
+    assert len(calls) == 1
 
 
 class TestElementGeometry:
@@ -415,6 +441,12 @@ class TestVertexPatches:
 
 
 class TestMeshStatistics:
+    def test_diameters_bitwise_equal_to_reference_loop(self):
+        rng = np.random.default_rng(21)
+        for index in range(9):
+            mesh = random_mesh(rng, index)
+            assert np.array_equal(element_diameters(mesh), loop_diameters(mesh))
+
     def test_uniform_2d(self):
         stats = mesh_statistics(generate_uniform_mesh(2, 4))
         assert stats.n_elements == 32
@@ -515,6 +547,8 @@ class TestMeshIO:
                         "bad vertex index in ['0', 'one']", 4),
         "index-out-of-range": ("meshcond v1 dim=1 nv=2 ne=1\n0 1\n1 1\n0 2\n",
                                "vertex index 2 out of range", 4),
+        "trailing-text": ("meshcond v1 dim=1 nv=2 ne=1\n0 1\n1 1\n0 1\n\n1 0\nend\n",
+                          "text after the 2 vertex and 1 element lines: '1 0'", 6),
     }
 
     @pytest.mark.parametrize("case", MALFORMED)
@@ -532,6 +566,11 @@ class TestMeshIO:
         path.write_text("meshcond v1 dim=1 nv=2 ne=1\nnan 1\n1 1\n0 1\n")
         with pytest.raises(MeshFormatError, match="non-finite"):
             read_mesh(path)
+
+    def test_trailing_blank_lines_allowed(self, tmp_path):
+        path = tmp_path / "blank.msh"
+        path.write_text("meshcond v1 dim=1 nv=2 ne=1\n0 1\n1 1\n0 1\n\n  \n")
+        assert read_mesh(path).n_elements == 1
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "short.msh"

@@ -113,14 +113,14 @@ class TestExtremeEigenvalues:
 class TestDenseOracle:
     def test_diagonal(self):
         assert dense_eigenvalues_oracle(np.diag([1.0, 2.0, 3.0])) == pytest.approx(
-            [1.0, 2.0, 3.0]
+            [1.0, 3.0]
         )
 
     def test_1d_uniform_n8_closed_form(self):
         mesh = generate_uniform_mesh(1, 8)
         a = assemble_stiffness(mesh, identity_field(1))
         eigs = dense_eigenvalues_oracle(a)
-        assert np.abs(eigs - stiffness_1d_eigs(8)).max() <= 1e-10
+        assert np.abs(eigs - stiffness_1d_eigs(8)[[0, -1]]).max() <= 1e-10
 
     def test_matches_lapack_on_random_symmetric(self):
         rng = np.random.default_rng(5)
@@ -130,7 +130,44 @@ class TestDenseOracle:
             mat = mat + mat.T
             mine = dense_eigenvalues_oracle(mat)
             ref = np.linalg.eigvalsh(mat)
-            assert np.abs(mine - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+            assert np.abs(mine - ref[[0, -1]]).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("mat, extremes", [
+        (4.0 * np.eye(5), [4.0, 4.0]),
+        (np.diag([3.0, 1.0, 7.0, 1.0]), [1.0, 7.0]),
+        # the first bisection midpoint of the padded [1, 3] bracket is 2
+        (np.diag([1.0, 2.0, 3.0]), [1.0, 3.0]),
+        (np.diag([-1.0, -2.0, -5.0]), [-5.0, -1.0]),
+        (np.array([[-0.5]]), [-0.5, -0.5]),
+    ], ids=["repeated", "repeated-min", "midpoint-hit", "negative-definite",
+            "order-1"])
+    def test_exact_extremes(self, mat, extremes):
+        # a diagonal matrix is its own tridiagonal, so bisection must land on
+        # each extreme exactly: a midpoint on an eigenvalue counts it as reached
+        assert dense_eigenvalues_oracle(mat).tolist() == extremes
+
+    def test_order_two(self):
+        mat = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert dense_eigenvalues_oracle(mat) == pytest.approx([1.0, 3.0], rel=1e-15)
+
+    def test_block_diagonal_splits(self):
+        # zero couplings between the blocks leave zero off-diagonals in the
+        # tridiagonal, so the Sturm sequence restarts inside each block
+        blocks = [np.array([[2.0, 1.0], [1.0, 2.0]]), np.diag([5.0, 0.5]),
+                  np.array([[9.0, 3.0], [3.0, 9.0]])]
+        mat = np.zeros((6, 6))
+        for k, block in enumerate(blocks):
+            mat[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
+        assert dense_eigenvalues_oracle(mat).tolist() == [0.5, 12.0]
+
+    def test_indefinite(self):
+        rng = np.random.default_rng(11)
+        q = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+        w = np.linspace(-3.0, 8.0, 40)
+        mat = (q * w) @ q.T
+        mat = 0.5 * (mat + mat.T)
+        ref = np.linalg.eigvalsh(mat)
+        assert dense_eigenvalues_oracle(mat) == pytest.approx(ref[[0, -1]], rel=1e-12)
 
     def test_extremes_relatively_accurate_at_high_kappa(self):
         # exact involutory Householder conjugation of exact power-of-two
