@@ -1,15 +1,17 @@
 """Extreme eigenvalues, a dense eigenvalue oracle and a CG iteration counter.
 
-The production path computes extreme eigenvalues iteratively (Lanczos for
-the largest, shift-and-invert Lanczos with a sparse factorization for the
-smallest), or with LAPACK for small orders.  The dense oracle is an
-independent in-repo solver for the same two extremes (Householder
-tridiagonalization followed by Sturm-sequence bisection) used to verify the
-production path at desk scale.
+The production path computes the smallest eigenvalue by shift-and-invert
+Lanczos with a sparse factorization.  The largest comes from Lanczos
+iteration, or, for a tridiagonal matrix (every 1D matrix), from LAPACK
+bisection plus inverse iteration.  Small orders use LAPACK's dense
+eigensolver for both.  The dense oracle is an independent in-repo solver for
+the same two extremes (Householder tridiagonalization followed by
+Sturm-sequence bisection) used to verify the production path at desk scale.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 import warnings
@@ -55,11 +57,16 @@ def _as_csr(mat):
 def extreme_eigenvalues(mat, rel_tol=1e-8):
     """Extreme eigenvalues of a sparse SPD matrix.
 
-    lambda_max comes from Lanczos iteration on the matrix itself,
-    lambda_min from Lanczos on the inverted operator (one sparse
-    factorization, then solves).  Matrices of order at most 64 use LAPACK's
-    dense ``eigh``.  Either way ``rel_tol_achieved`` is the measured
-    eigenpair residual.
+    lambda_min comes from Lanczos on the inverted operator (one sparse
+    factorization, then solves).  lambda_max comes from Lanczos iteration
+    on the matrix itself, except for a tridiagonal matrix, where LAPACK
+    bisection plus inverse iteration (``stebz`` + ``stein``) returns the top
+    eigenpair directly.  Bisection is not used for lambda_min: ``stebz``
+    gives eigenvalues to an absolute accuracy of O(eps * ||A||), which at
+    the small end of an ill-conditioned spectrum (a graded 1D mesh) is
+    too poor a relative accuracy for the residual check.  Matrices of
+    order at most 64 use LAPACK's dense ``eigh``.  Either way
+    ``rel_tol_achieved`` is the measured eigenpair residual.
 
     Parameters
     ----------
@@ -70,14 +77,16 @@ def extreme_eigenvalues(mat, rel_tol=1e-8):
     Raises
     ------
     ConvergenceError
-        If the iteration cap is hit; the message reports the residual.
+        If an iteration cap is hit, a LAPACK eigensolver fails, or the
+        measured residual is above ``rel_tol``.
     """
     if not 0.0 < rel_tol <= 1e-4:
         raise ValueError(f"rel_tol must be in (0, 1e-4], got {rel_tol}")
     a = _as_csr(mat)
     n = a.shape[0]
     if n <= _DENSE_CUTOFF:
-        w, v = scipy.linalg.eigh(a.toarray())
+        with _lapack("eigh"):
+            w, v = scipy.linalg.eigh(a.toarray())
         return _checked_result(a, w[0], v[:, 0], w[-1], v[:, -1], rel_tol)
 
     ncv = min(n - 1, 32)
@@ -86,9 +95,16 @@ def extreme_eigenvalues(mat, rel_tol=1e-8):
     v0 = rng.standard_normal(n)
     arpack_tol = rel_tol * 1e-2
     try:
-        wmax, vmax = spla.eigsh(
-            a, k=1, which="LA", tol=arpack_tol, maxiter=maxiter, ncv=ncv, v0=v0
-        )
+        if _is_tridiagonal(a):
+            with _lapack("eigh_tridiagonal"):
+                wmax, vmax = scipy.linalg.eigh_tridiagonal(
+                    a.diagonal(), a.diagonal(1), select="i",
+                    select_range=(n - 1, n - 1),
+                )
+        else:
+            wmax, vmax = spla.eigsh(
+                a, k=1, which="LA", tol=arpack_tol, maxiter=maxiter, ncv=ncv, v0=v0
+            )
         wmin, vmin = spla.eigsh(
             a.tocsc(), k=1, sigma=0.0, which="LM", tol=arpack_tol,
             maxiter=maxiter, ncv=ncv, v0=v0,
@@ -98,6 +114,21 @@ def extreme_eigenvalues(mat, rel_tol=1e-8):
             f"Lanczos did not converge within {maxiter} iterations: {exc}"
         ) from exc
     return _checked_result(a, wmin[0], vmin[:, 0], wmax[0], vmax[:, 0], rel_tol)
+
+
+def _is_tridiagonal(a):
+    """Whether every stored entry of a CSR matrix has ``|i - j| <= 1``."""
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    return bool(np.all(np.abs(a.indices - rows) <= 1))
+
+
+@contextlib.contextmanager
+def _lapack(routine):
+    """Report a LAPACK convergence failure as a ConvergenceError."""
+    try:
+        yield
+    except scipy.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK {routine} did not converge: {exc}") from exc
 
 
 def _checked_result(a, lmin, vmin, lmax, vmax, rel_tol):
@@ -231,7 +262,10 @@ def dense_eigenvalues_oracle(mat):
     in-repo Householder tridiagonalization, Sturm-sequence bisection for
     the two extremes of the tridiagonal, then inverse iteration on the
     dense matrix so both are accurate in a relative sense even for large
-    condition numbers.
+    condition numbers.  The matrix is first scaled by the power of two that
+    brings its largest entry into [0.5, 1), so the squares formed on the way
+    neither underflow nor overflow; the scaling is exact, and undone on the
+    result.
     """
     a = mat.toarray() if sp.issparse(mat) else np.array(mat, dtype=float)
     n = a.shape[0]
@@ -242,8 +276,11 @@ def dense_eigenvalues_oracle(mat):
     scale = np.abs(a).max()
     if scale > 0 and np.abs(a - a.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
+    exponent = math.frexp(scale)[1]
+    np.ldexp(a, -exponent, out=a)
     d, e = _householder_tridiagonalize(a.copy())
-    return np.array([_refine_extreme(a, lam) for lam in _tridiagonal_extremes(d, e)])
+    extremes = [_refine_extreme(a, lam) for lam in _tridiagonal_extremes(d, e)]
+    return np.ldexp(extremes, exponent)
 
 
 def cg_iteration_count(mat, rhs, tol, scaling=None, maxiter=None):

@@ -184,6 +184,23 @@ class TestAnalyze:
         assert run(["analyze", "--mesh", str(mesh_path), "--csv", str(csv_path)]) == 1
         assert not csv_path.exists()
 
+    def test_lapack_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("failed to converge")
+
+        mesh_path = tmp_path / "u.msh"
+        run(["generate", "--case", "uniform1d", "--n", "8", "-o", str(mesh_path)])
+        capsys.readouterr()
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        code = run(["analyze", "--mesh", str(mesh_path),
+                    "--csv", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("meshcond: error: LAPACK eigh did not converge: "
+                       "failed to converge\n")
+
     def test_envelope_violation_exits_two(self, tmp_path, monkeypatch):
         # the envelopes are theorems, so fake a violating analysis to check
         # the exit-code wiring

@@ -286,3 +286,21 @@ class TestNoConvergenceRow:
                 assert getattr(row, column) == getattr(ok, column), column
         assert (row.n, row.aspect, row.n_elements, row.n_interior) == (
             ok.n, ok.aspect, ok.n_elements, ok.n_interior)
+
+    def test_lapack_failure_on_1d_row(self, monkeypatch):
+        import scipy.linalg
+
+        from meshcond.bounds import calibrate_constant
+        from meshcond.diffusion import identity_field
+        from meshcond.experiments import analyze_mesh
+        from meshcond.mesh import generate_chebyshev_mesh
+
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("stein failed to converge")
+
+        field = identity_field(1)
+        cal = calibrate_constant(1, field, 64)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        row, _ = analyze_mesh(generate_chebyshev_mesh(128), field, cal, n_label=128)
+        assert row.status == "no-convergence"
+        assert np.isnan(row.lambda_max) and np.isnan(row.lambda_max_scaled)

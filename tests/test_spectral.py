@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from meshcond.assembly import (
@@ -9,7 +10,11 @@ from meshcond.assembly import (
     jacobi_scaling,
 )
 from meshcond.diffusion import identity_field
-from meshcond.mesh import generate_chebyshev_mesh, generate_uniform_mesh
+from meshcond.mesh import (
+    generate_chebyshev_mesh,
+    generate_skew_mesh_2d,
+    generate_uniform_mesh,
+)
 import meshcond.spectral as spectral
 from meshcond.spectral import (
     ConvergenceError,
@@ -109,6 +114,99 @@ class TestExtremeEigenvalues:
             with pytest.raises(ConvergenceError, match="residual"):
                 extreme_eigenvalues(mat, 1e-18)
 
+    @pytest.mark.parametrize("routine, order", [("eigh", 40),
+                                                ("eigh_tridiagonal", 200)])
+    def test_lapack_failure_is_convergence_error(self, monkeypatch, routine, order):
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("failed to converge")
+
+        monkeypatch.setattr(spectral.scipy.linalg, routine, fail)
+        a = assemble_stiffness(generate_uniform_mesh(1, order + 1), identity_field(1))
+        with pytest.raises(ConvergenceError, match=f"LAPACK {routine} did not converge"):
+            extreme_eigenvalues(a, 1e-8)
+
+
+def _cheb_1024():
+    return assemble_stiffness(generate_chebyshev_mesh(1024), identity_field(1))
+
+
+def _uniform_1024():
+    return assemble_stiffness(generate_uniform_mesh(1, 1024), identity_field(1))
+
+
+def _scaled(a):
+    return apply_symmetric_scaling(a, jacobi_scaling(a))
+
+
+class TestTridiagonalPath:
+    """1D matrices get lambda_max from LAPACK bisection, lambda_min from eigsh."""
+
+    @staticmethod
+    def _eigsh_calls(monkeypatch):
+        calls = []
+        real = spectral.spla.eigsh
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.spla, "eigsh", counted)
+        return calls
+
+    @pytest.mark.parametrize("build", [_cheb_1024, _uniform_1024],
+                             ids=["chebyshev", "uniform"])
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+    def test_no_lanczos_for_lambda_max(self, monkeypatch, build, scaled):
+        a = build()
+        mat = _scaled(a) if scaled else a
+        calls = self._eigsh_calls(monkeypatch)
+        extreme_eigenvalues(mat, 1e-8)
+        assert [c.get("which") for c in calls] == ["LM"]
+        assert calls[0]["sigma"] == 0.0
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+    def test_permuted_matrix_takes_lanczos_and_agrees(self, monkeypatch, scaled):
+        a = _cheb_1024()
+        mat = _scaled(a) if scaled else a
+        perm = np.random.default_rng(17).permutation(mat.shape[0])
+        permuted = mat[perm][:, perm].tocsr()
+        assert spectral._is_tridiagonal(mat)
+        assert not spectral._is_tridiagonal(permuted)
+        direct = extreme_eigenvalues(mat, 1e-8)
+        calls = self._eigsh_calls(monkeypatch)
+        lanczos = extreme_eigenvalues(permuted, 1e-8)
+        assert sorted(c.get("which") for c in calls) == ["LA", "LM"]
+        assert lanczos.lambda_min == pytest.approx(direct.lambda_min, rel=1e-8)
+        assert lanczos.lambda_max == pytest.approx(direct.lambda_max, rel=1e-8)
+
+    def test_skew2d_is_not_tridiagonal(self, monkeypatch):
+        a = assemble_stiffness(generate_skew_mesh_2d(16, 8.0), identity_field(2))
+        assert not spectral._is_tridiagonal(a)
+        calls = self._eigsh_calls(monkeypatch)
+        extreme_eigenvalues(a, 1e-8)
+        assert sorted(c.get("which") for c in calls) == ["LA", "LM"]
+
+    def test_one_entry_off_the_band(self):
+        a = sp.lil_matrix(_uniform_1024())
+        a[0, 2] = a[2, 0] = -1e-3
+        assert not spectral._is_tridiagonal(a.tocsr())
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+    def test_rel_tol_achieved_is_measured(self, scaled):
+        a = _cheb_1024()
+        mat = _scaled(a) if scaled else a
+        n = mat.shape[0]
+        w, v = scipy.linalg.eigh_tridiagonal(
+            mat.diagonal(), mat.diagonal(1), select="i", select_range=(n - 1, n - 1))
+        res_max = np.linalg.norm(mat @ v[:, 0] - w[0] * v[:, 0]) / w[0]
+        result = extreme_eigenvalues(mat, 1e-8)
+        assert result.lambda_max == w[0]
+        assert 0.0 < res_max <= result.rel_tol_achieved <= 1e-8
+        # the lambda_max pair does not depend on rel_tol, so a tolerance
+        # below its residual is refused
+        with pytest.raises(ConvergenceError, match="residual"):
+            extreme_eigenvalues(mat, res_max / 2)
+
 
 class TestDenseOracle:
     def test_diagonal(self):
@@ -191,6 +289,23 @@ class TestDenseOracle:
             oracle = dense_eigenvalues_oracle(a)
             assert result.lambda_min == pytest.approx(oracle[0], rel=1e-8)
             assert result.lambda_max == pytest.approx(oracle[-1], rel=1e-8)
+
+    @pytest.mark.parametrize("exponent", [-200, 200])
+    def test_far_from_unit_scale(self, exponent):
+        rng = np.random.default_rng(30)
+        mat = rng.standard_normal((30, 30))
+        mat = (mat + mat.T) * 10.0 ** exponent
+        ref = scipy.linalg.eigvalsh(mat)[[0, -1]]
+        assert dense_eigenvalues_oracle(mat) == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+    def test_power_of_two_scaling_is_exact(self):
+        a = assemble_stiffness(generate_chebyshev_mesh(64), identity_field(1))
+        b = assemble_stiffness(generate_skew_mesh_2d(6, 8.0), identity_field(2))
+        for mat in (a, _scaled(a), b, _scaled(b)):
+            eigs = dense_eigenvalues_oracle(mat)
+            for k in (-600, -37, 5, 600):
+                scaled = dense_eigenvalues_oracle(mat.toarray() * 2.0 ** k)
+                assert scaled.tolist() == (eigs * 2.0 ** k).tolist()
 
     def test_rejects_nonsquare_and_asymmetric(self):
         with pytest.raises(ValueError):
