@@ -98,7 +98,7 @@ def parse_field_spec(spec, dim):
     if spec == "identity":
         return identity_field(dim)
     if spec.startswith("const:"):
-        values = [float(v) for v in spec[len("const:"):].split(",")]
+        values = _spec_numbers(spec, "const:")
         d = math.isqrt(len(values))
         if d * d != len(values):
             raise FieldError(f"const field needs d*d entries, got {len(values)}")
@@ -109,15 +109,23 @@ def parse_field_spec(spec, dim):
     if spec == "rotated":
         field = rotated_anisotropic_field()
     elif spec.startswith("rotated:"):
-        parts = spec[len("rotated:"):].split(",")
-        if len(parts) != 2:
+        values = _spec_numbers(spec, "rotated:")
+        if len(values) != 2:
             raise FieldError(f"rotated field needs two eigenvalues, got {spec!r}")
-        field = rotated_anisotropic_field(float(parts[0]), float(parts[1]))
+        field = rotated_anisotropic_field(*values)
     else:
         raise FieldError(f"unknown field spec {spec!r}")
     if dim != 2:
         raise FieldError("rotated field is only defined in 2D")
     return field
+
+
+def _spec_numbers(spec, prefix):
+    """The comma-separated numbers after ``prefix``; FieldError names the spec."""
+    try:
+        return [float(v) for v in spec[len(prefix):].split(",")]
+    except ValueError:
+        raise FieldError(f"bad number in field spec {spec!r}") from None
 
 
 def _rotated_tensors(field, points):

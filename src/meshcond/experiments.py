@@ -184,6 +184,8 @@ def _check_config(cfg):
         raise ValueError("skew sweeps need aspect >= 1")
     if cfg.case == "uniform" and cfg.dim not in (1, 2, 3):
         raise ValueError("uniform case needs dim in {1, 2, 3}")
+    if not 0.0 < cfg.tol <= 1e-4:
+        raise ValueError(f"tol must be in (0, 1e-4], got {cfg.tol}")
 
 
 def study_dimension(cfg):

@@ -1,15 +1,16 @@
 """Simplicial meshes: representation, geometry, generators, statistics and I/O.
 
-Meshes live on the unit interval/square/cube and are immutable after
-construction.  Elements are stored with positive signed volume; all vertex
-coordinates are plain float64.
+The generators mesh the unit interval, square or cube; a mesh built by hand
+or read from a file may cover any domain its elements tile.  Meshes are
+immutable after construction.  Elements are stored with positive signed
+volume; all vertex coordinates are plain float64.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -62,18 +63,25 @@ class SimplicialMesh:
     elements : ndarray, shape (ne, d + 1)
         Vertex indices of each simplex, positively oriented.
     boundary : ndarray of bool, shape (nv,)
-        True for vertices on the domain boundary.
+        Derived, not passed: True for the vertices of the facets that belong
+        to exactly one element.  These carry the homogeneous Dirichlet
+        condition; every other vertex is an unknown.
 
     Construction is the one validity check: it sorts each element's
     vertices and reorders them to positive orientation, raises
     DegenerateElementError for the first element with zero or non-finite
-    volume, and rejects an interior vertex that belongs to no element.
+    volume, and raises ValueError for a facet shared by more than two
+    elements, for a mesh without a boundary facet and for a vertex that
+    belongs to no element.  A hanging node (a vertex inside a facet of a
+    neighboring element) leaves one-element facets inside the domain, so a
+    hand-built mesh with one is analyzed as the slit domain it describes;
+    :func:`read_mesh` rejects a file that flags such a node as interior.
     """
 
     dim: int
     vertices: np.ndarray
     elements: np.ndarray
-    boundary: np.ndarray
+    boundary: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
@@ -82,19 +90,17 @@ class SimplicialMesh:
         if vertices.ndim == 1:
             vertices = vertices[:, None]
         elements = np.ascontiguousarray(self.elements, dtype=np.int64)
-        boundary = np.ascontiguousarray(self.boundary, dtype=bool)
         if vertices.shape[1] != self.dim:
             raise ValueError("vertex coordinates do not match dim")
         if elements.ndim != 2 or elements.shape[1] != self.dim + 1:
             raise ValueError("elements must have d + 1 vertices each")
-        if boundary.shape != (vertices.shape[0],):
-            raise ValueError("boundary flags must match vertex count")
         if elements.size and (elements.min() < 0 or elements.max() >= len(vertices)):
             raise ValueError("element vertex index out of range")
         elements = _orient_positive(vertices, elements, self.dim)
+        boundary = _boundary_flags(elements, len(vertices))
         used = np.zeros(len(vertices), dtype=bool)
         used[elements.ravel()] = True
-        missing = np.flatnonzero(~used & ~boundary)
+        missing = np.flatnonzero(~used)
         if missing.size:
             raise ValueError(f"interior vertex {missing[0]} belongs to no element")
         for arr in (vertices, elements, boundary):
@@ -234,6 +240,37 @@ def _orient_positive(vertices, elements, dim):
     return elements
 
 
+def _boundary_flags(elements, n_vertices):
+    """Flags of the vertices of the facets that belong to exactly one element.
+
+    Builds the facet table once: every element minus one vertex, sorted and
+    packed into one int64 key; sorting the keys groups equal facets into
+    runs.  Raises ValueError naming the first facet shared by more than two
+    elements, and for a mesh whose facets are all shared (its elements
+    overlap).
+    """
+    nloc = elements.shape[1]
+    shape = (n_vertices,) * (nloc - 1)
+    slots = list(itertools.combinations(range(nloc), nloc - 1))
+    # rows k * nloc to k * nloc + d are the d + 1 facets of element k
+    facets = np.sort(elements, axis=1)[:, slots].reshape(-1, nloc - 1)
+    keys = np.ravel_multi_index(tuple(facets.T), shape)
+    grouped = np.sort(keys)
+    start = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    counts = np.diff(np.r_[start, len(grouped)])
+    crowded = grouped[start[counts > 2]]
+    if crowded.size:
+        facet = ", ".join(str(int(v)) for v in np.unravel_index(crowded[0], shape))
+        owners = ", ".join(str(r // nloc) for r in np.flatnonzero(keys == crowded[0]))
+        raise ValueError(f"facet ({facet}) is shared by more than two elements: {owners}")
+    boundary = np.zeros(n_vertices, dtype=bool)
+    for column in np.unravel_index(grouped[start[counts == 1]], shape):
+        boundary[column] = True
+    if keys.size and not boundary.any():
+        raise ValueError("mesh has no boundary facet: its elements overlap")
+    return boundary
+
+
 def generate_uniform_mesh(dim, n):
     """Uniform mesh of the unit interval, square or cube.
 
@@ -254,17 +291,16 @@ def generate_uniform_mesh(dim, n):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    coords, elems, boundary = _uniform_grid(dim, n)
-    return SimplicialMesh(dim=dim, vertices=coords, elements=elems, boundary=boundary)
+    coords, elems = _uniform_grid(dim, n)
+    return SimplicialMesh(dim=dim, vertices=coords, elements=elems)
 
 
 def _uniform_grid(dim, n):
-    """Vertex coordinates, Kuhn-split elements and boundary flags of the grid."""
+    """Vertex coordinates and Kuhn-split elements of the grid."""
     # grid points and cell origins, first axis varying fastest
     grid = np.indices((n + 1,) * dim).reshape(dim, -1)[::-1].T
     cells = np.indices((n,) * dim).reshape(dim, -1)[::-1].T
     coords = grid / n
-    boundary = np.any((grid == 0) | (grid == n), axis=1)
     strides = (n + 1) ** np.arange(dim)
     # Kuhn split: one simplex per permutation of the axis order, walking
     # from the cell origin to the opposite corner one axis step at a time
@@ -273,7 +309,7 @@ def _uniform_grid(dim, n):
         for perm in itertools.permutations(range(dim))
     ])
     elems = ((cells @ strides)[:, None, None] + offsets).reshape(-1, dim + 1)
-    return coords, elems, boundary
+    return coords, elems
 
 
 def generate_chebyshev_mesh(n):
@@ -289,9 +325,7 @@ def generate_chebyshev_mesh(n):
     interior = 0.5 * (1.0 - np.cos((2 * i - 1) * np.pi / (2 * (n - 1))))
     coords = np.concatenate(([0.0], interior, [1.0]))[:, None]
     elems = np.arange(n, dtype=np.int64)[:, None] + np.arange(2)
-    boundary = np.zeros(n + 1, dtype=bool)
-    boundary[[0, n]] = True
-    return SimplicialMesh(dim=1, vertices=coords, elements=elems, boundary=boundary)
+    return SimplicialMesh(dim=1, vertices=coords, elements=elems)
 
 
 def _skew_mesh(dim, n, aspect):
@@ -311,9 +345,9 @@ def _skew_mesh(dim, n, aspect):
         raise ValueError(
             f"aspect {aspect} moves the grid layer across a neighboring line"
         )
-    coords, elems, boundary = _uniform_grid(dim, n)
+    coords, elems = _uniform_grid(dim, n)
     coords[coords[:, -1] == j0 / n, -1] = new_pos
-    return SimplicialMesh(dim=dim, vertices=coords, elements=elems, boundary=boundary)
+    return SimplicialMesh(dim=dim, vertices=coords, elements=elems)
 
 
 def generate_skew_mesh_2d(n, aspect):
@@ -383,14 +417,16 @@ def write_mesh(mesh, path):
 def read_mesh(path):
     """Read a mesh written by :func:`write_mesh`.
 
-    The :class:`SimplicialMesh` constructor orients and checks the elements.
+    The :class:`SimplicialMesh` constructor orients and checks the elements
+    and derives the boundary; the file's boundary flags must equal it.
 
     Raises
     ------
     MeshFormatError
         On a malformed header, out-of-range vertex index, non-finite
-        coordinate or non-blank text after the declared lines; the error
-        message carries the offending line number.
+        coordinate, non-blank text after the declared lines or a boundary
+        flag that disagrees with the elements; the error message carries the
+        offending line number.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -423,7 +459,7 @@ def read_mesh(path):
             )
 
     vertices = np.empty((nv, dim))
-    boundary = np.empty(nv, dtype=bool)
+    flags = np.empty(nv, dtype=bool)
     for i in range(nv):
         lineno = 2 + i
         parts = lines[1 + i].split()
@@ -442,7 +478,7 @@ def read_mesh(path):
             raise MeshFormatError(f"boundary flag must be 0 or 1, got {parts[dim]!r}",
                                   line=lineno)
         vertices[i] = coords
-        boundary[i] = parts[dim] == "1"
+        flags[i] = parts[dim] == "1"
 
     elements = np.empty((ne, dim + 1), dtype=np.int64)
     for k in range(ne):
@@ -461,5 +497,13 @@ def read_mesh(path):
                 raise MeshFormatError(f"vertex index {v} out of range", line=lineno)
         elements[k] = idx
 
-    return SimplicialMesh(dim=dim, vertices=vertices, elements=elements,
-                          boundary=boundary)
+    mesh = SimplicialMesh(dim=dim, vertices=vertices, elements=elements)
+    differ = np.flatnonzero(flags != mesh.boundary)
+    if differ.size:
+        k = int(differ[0])
+        where = "on the boundary" if mesh.boundary[k] else "in the interior"
+        raise MeshFormatError(
+            f"vertex {k} has boundary flag {int(flags[k])}, but its elements put it {where}",
+            line=2 + k,
+        )
+    return mesh

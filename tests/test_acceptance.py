@@ -259,8 +259,7 @@ def test_criterion_7_quality(battery):
             continue
         raw = rng.standard_normal((dim, dim))
         mesh = SimplicialMesh(dim=dim, vertices=pts,
-                              elements=np.arange(dim + 1)[None, :],
-                              boundary=np.ones(dim + 1, dtype=bool))
+                              elements=np.arange(dim + 1)[None, :])
         field = constant_field(raw @ raw.T + 0.05 * np.eye(dim))
         assert quality_measures(mesh, field).q_ali[0] >= 1.0 - 1e-10
         checked += 1
@@ -281,8 +280,7 @@ def test_criterion_7_quality(battery):
             fprime = 1.3 * (q * np.sqrt(w)) @ q.T
             verts = ref @ fprime.T
             mesh = SimplicialMesh(dim=dim, vertices=verts,
-                                  elements=np.arange(dim + 1)[None, :],
-                                  boundary=np.ones(dim + 1, dtype=bool))
+                                  elements=np.arange(dim + 1)[None, :])
             qm = quality_measures(mesh, constant_field(d_mat))
             assert qm.q_ali[0] == pytest.approx(1.0, rel=1e-10)
             metric_vols.append(element_volumes(mesh)[0] / np.sqrt(np.linalg.det(d_mat)))

@@ -90,7 +90,6 @@ class TestStiffness:
             dim=2,
             vertices=mesh.vertices,
             elements=mesh.elements[perm],
-            boundary=mesh.boundary,
         )
         field = rotated_anisotropic_field(100.0, 1.0)
         a = assemble_stiffness(mesh, field).toarray()
@@ -101,8 +100,7 @@ class TestStiffness:
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         elems = np.array([[0, 1, 2], [1, 3, 3]])  # second element collapsed
         with pytest.raises(DegenerateElementError, match="element 1 is degenerate"):
-            SimplicialMesh(dim=2, vertices=verts, elements=elems,
-                           boundary=np.ones(4, dtype=bool))
+            SimplicialMesh(dim=2, vertices=verts, elements=elems)
 
 
 class TestMass:

@@ -128,8 +128,7 @@ class TestQualityMeasures:
     def test_identity_element(self):
         verts = np.asarray(reference_simplex(2))
         mesh = SimplicialMesh(dim=2, vertices=verts,
-                              elements=np.array([[0, 1, 2]]),
-                              boundary=np.ones(3, dtype=bool))
+                              elements=np.array([[0, 1, 2]]))
         qm = quality_measures(mesh, identity_field(2))
         assert qm.q_ali[0] == pytest.approx(1.0, abs=1e-12)
         assert qm.q_eq[0] == pytest.approx(1.0, abs=1e-12)
@@ -137,8 +136,7 @@ class TestQualityMeasures:
     def test_diagonal_stretch_value(self):
         verts = np.asarray(reference_simplex(2)) @ np.diag([2.0, 0.5])
         mesh = SimplicialMesh(dim=2, vertices=verts,
-                              elements=np.array([[0, 1, 2]]),
-                              boundary=np.ones(3, dtype=bool))
+                              elements=np.array([[0, 1, 2]]))
         qm = quality_measures(mesh, identity_field(2))
         assert qm.q_ali[0] == pytest.approx(2.125, rel=1e-12)
 
@@ -157,7 +155,6 @@ class TestQualityMeasures:
             mesh = SimplicialMesh(
                 dim=dim, vertices=pts,
                 elements=np.arange(dim + 1)[None, :],
-                boundary=np.ones(dim + 1, dtype=bool),
             )
             qm = quality_measures(mesh, constant_field(d_mat))
             assert qm.q_ali[0] >= 1.0 - 1e-10
@@ -188,8 +185,7 @@ class TestQualityMeasures:
         metric_vols = []
         for verts, d_mat in pieces:
             mesh = SimplicialMesh(dim=dim, vertices=verts,
-                                  elements=np.arange(dim + 1)[None, :],
-                                  boundary=np.ones(dim + 1, dtype=bool))
+                                  elements=np.arange(dim + 1)[None, :])
             qm = quality_measures(mesh, constant_field(d_mat))
             assert qm.q_ali[0] == pytest.approx(1.0, rel=1e-10)
             metric_vols.append(

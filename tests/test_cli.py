@@ -159,6 +159,16 @@ class TestAnalyze:
         assert len(err.splitlines()) == 1
         assert err.startswith("meshcond: error:") and "finite" in err
 
+    @pytest.mark.parametrize("spec", ["const:", "const:1,x,0,1", "rotated:1e3,x"])
+    def test_bad_number_in_field_exits_one(self, tmp_path, capsys, spec):
+        mesh_path = tmp_path / "u.msh"
+        write_mesh(generate_uniform_mesh(2, 4), mesh_path)
+        code = run(["analyze", "--mesh", str(mesh_path), "--field", spec,
+                    "--csv", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"meshcond: error: bad number in field spec {spec!r}\n")
+
     def test_mass_eigensolve_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         def fail(mat, rel_tol):
             raise ConvergenceError("mass eigensolve did not converge")
@@ -230,7 +240,7 @@ def _orphan_vertex(lines):
 
 
 def _all_boundary(lines):
-    return [lines[0], *(line[:-1] + "1" for line in lines[1:26]), *lines[26:]]
+    return ["meshcond v1 dim=2 nv=3 ne=1", "0 0 1", "1 0 1", "0 1 1", "0 1 2"]
 
 
 def _trailing_text(lines):
@@ -259,6 +269,24 @@ class TestMeshFileChecks:
                     "--csv", str(tmp_path / "r.csv")]) == code
         err = capsys.readouterr().err
         assert err == (f"meshcond: error: {message}\n" if code else "")
+
+    # edits of the uniform 2D n=6 file: 49 vertex lines, then 72 element lines
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [lines[0].replace("ne=72", "ne=73"), *lines[1:], lines[60]],
+         "facet (5, 13) is shared by more than two elements: 10, 11, 72"),
+        (lambda lines: [lines[0], lines[1],
+                        *(line[:-1] + "0" for line in lines[2:50]), *lines[50:]],
+         "line 3: vertex 1 has boundary flag 0, but its elements put it on the boundary"),
+    ], ids=["duplicated-element", "only-vertex-0-flagged"])
+    def test_non_conforming_file_exits_one(self, tmp_path, capsys, edit, message):
+        mesh_path = tmp_path / "m.msh"
+        write_mesh(generate_uniform_mesh(2, 6), mesh_path)
+        lines = mesh_path.read_text().splitlines()
+        mesh_path.write_text("\n".join(edit(lines)) + "\n")
+        assert run(["analyze", "--mesh", str(mesh_path),
+                    "--csv", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == f"meshcond: error: {message}\n"
+        assert not (tmp_path / "r.csv").exists()
 
     def test_analyze_assembles_mass_once(self, tmp_path, monkeypatch):
         import meshcond.bounds as bounds_mod
@@ -301,6 +329,15 @@ class TestStudy:
                     "--csv", str(tmp_path / "s.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"meshcond: error: {cfg}:3: unknown key 'tolerance'")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_bad_tol_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("case = chebyshev\nn_values = 32, 64, 128\ntol = 0.5\n")
+        assert run(["study", "--config", str(cfg),
+                    "--csv", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"meshcond: error: {cfg}: tol must be in (0, 1e-4], got 0.5\n")
         assert not (tmp_path / "s.csv").exists()
 
     def test_bad_config_exits_one(self, tmp_path):

@@ -75,6 +75,13 @@ class TestConstruction:
             parse_field_spec(spec, 2)
 
 
+    @pytest.mark.parametrize("spec", ["const:", "const:1,x,0,1", "rotated:1e3,x"])
+    def test_bad_number_names_spec(self, spec):
+        with pytest.raises(FieldError) as err:
+            parse_field_spec(spec, 2)
+        assert str(err.value) == f"bad number in field spec {spec!r}"
+
+
 class TestElementAverage:
     def test_constant_exact(self):
         mesh = generate_uniform_mesh(2, 4)
@@ -200,7 +207,6 @@ class TestMappedMetric:
             dim=2,
             vertices=verts,
             elements=np.array([[0, 1, 2]]),
-            boundary=np.ones(3, dtype=bool),
         )
         mats = mapped_metric_tensors(mesh, identity_field(2))
         assert mats[0] == pytest.approx(np.diag([0.25, 4.0]), abs=1e-13)

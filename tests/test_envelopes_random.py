@@ -1,0 +1,111 @@
+"""Seeded random checks of the paper's two-sided envelopes.
+
+The envelopes are theorems for arbitrary conforming simplicial meshes:
+lambda_max(A) in [max A_jj, (d+1) max A_jj], lambda_max(S^-1 A S^-1) in
+[1, d+1], kappa(B) in [r, (d+2) r] and kappa(S^-1 B S^-1) <= d+2.  Every
+mesh here is a uniform grid with moved vertices over the same elements, so
+its Dirichlet boundary follows from the elements as for any other mesh.
+Each matrix has at most about 500 unknowns.
+"""
+
+import numpy as np
+import pytest
+
+from meshcond.assembly import (
+    apply_symmetric_scaling,
+    assemble_mass,
+    assemble_stiffness,
+    jacobi_scaling,
+)
+from meshcond.bounds import lambda_max_bounds, mass_condition_bounds, quality_measures
+from meshcond.diffusion import constant_field, identity_field, rotated_anisotropic_field
+from meshcond.experiments import outside_envelope
+from meshcond.mesh import SimplicialMesh, generate_uniform_mesh
+from meshcond.spectral import extreme_eigenvalues
+
+SEEDS = range(6)
+# subdivisions per axis drawn from [lo, hi]; n**d interior unknowns stay below 500
+SUBDIVISIONS = {1: (16, 400), 2: (6, 20), 3: (3, 8)}
+
+
+def moved(mesh, vertices):
+    """``mesh`` with its vertices moved; no element may turn over."""
+    out = SimplicialMesh(dim=mesh.dim, vertices=vertices, elements=mesh.elements)
+    assert np.array_equal(out.elements, mesh.elements), "an element turned over"
+    return out
+
+
+def jittered_mesh(rng, dim):
+    """Uniform mesh whose interior vertices move by up to 0.15 h per axis."""
+    n = int(rng.integers(*SUBDIVISIONS[dim], endpoint=True))
+    mesh = generate_uniform_mesh(dim, n)
+    verts = np.array(mesh.vertices)
+    inner = ~mesh.boundary
+    verts[inner] += rng.uniform(-0.15 / n, 0.15 / n, (np.count_nonzero(inner), dim))
+    return moved(mesh, verts)
+
+
+def graded_mesh(rng, dim):
+    """Uniform mesh whose grid layers move monotonically, each axis on its own.
+
+    Layer spacings are log-normal with sigma 1.5, so neighboring layers
+    differ in thickness by up to a few hundred and most elements are
+    anisotropic.
+    """
+    n = int(rng.integers(*SUBDIVISIONS[dim], endpoint=True))
+    mesh = generate_uniform_mesh(dim, n)
+    grid = np.rint(mesh.vertices * n).astype(np.int64)
+    verts = np.empty_like(mesh.vertices)
+    for axis in range(dim):
+        layers = np.concatenate(([0.0], np.cumsum(rng.lognormal(0.0, 1.5, n))))
+        verts[:, axis] = (layers / layers[-1])[grid[:, axis]]
+    return moved(mesh, verts)
+
+
+def random_constant_field(rng, dim):
+    """SPD constant field with eigenvalues log-uniform over [1e-2, 1e2]."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    mat = (q * 10.0 ** rng.uniform(-2.0, 2.0, dim)) @ q.T
+    return constant_field(0.5 * (mat + mat.T))
+
+
+def fields(rng, dim):
+    out = [identity_field(dim), random_constant_field(rng, dim)]
+    if dim == 2:
+        out.append(rotated_anisotropic_field(*10.0 ** rng.uniform(-1.0, 3.0, 2)))
+    return out
+
+
+def envelope_failures(mesh, rng):
+    """Every envelope miss of the mesh's mass matrix and of its stiffness
+    matrices over the random fields."""
+    d = mesh.dim
+    out = []
+    mass = assemble_mass(mesh)
+    mass_env = mass_condition_bounds(mesh)
+    out += outside_envelope("mass kappa", extreme_eigenvalues(mass).kappa,
+                            mass_env.two_sided)
+    scaled_mass = apply_symmetric_scaling(mass, jacobi_scaling(mass))
+    out += outside_envelope("scaled mass kappa", extreme_eigenvalues(scaled_mass).kappa,
+                            (1.0, mass_env.scaled_upper))
+    for field in fields(rng, d):
+        a = assemble_stiffness(mesh, field)
+        env = lambda_max_bounds(a.diagonal(), d)
+        scaled = apply_symmetric_scaling(a, jacobi_scaling(a))
+        out += outside_envelope(f"{field.spec} lambda_max",
+                                extreme_eigenvalues(a).lambda_max, env.unscaled)
+        out += outside_envelope(f"{field.spec} scaled lambda_max",
+                                extreme_eigenvalues(scaled).lambda_max, env.scaled)
+        q_eq = quality_measures(mesh, field).q_eq
+        assert np.mean(1.0 / q_eq) == pytest.approx(1.0, abs=1e-12), field.spec
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("make", [jittered_mesh, graded_mesh],
+                         ids=["jittered", "graded"])
+def test_envelopes_hold(make, dim, seed):
+    rng = np.random.default_rng([seed, dim, make is graded_mesh])
+    mesh = make(rng, dim)
+    assert envelope_failures(mesh, rng) == []

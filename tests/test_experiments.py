@@ -79,6 +79,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown case 'spiral'"):
             run_study(StudyConfig(case="spiral", n_values=(4, 8)))
 
+    @pytest.mark.parametrize("tol", [0.5, 0.0, float("nan")])
+    def test_run_study_rejects_tol_before_calibrating(self, monkeypatch, tol):
+        import meshcond.experiments as experiments
+
+        def calibrate(*args):
+            raise AssertionError("calibrated before the config was checked")
+
+        monkeypatch.setattr(experiments, "calibrate_constant", calibrate)
+        with pytest.raises(ValueError, match=re.escape("tol must be in (0, 1e-4]")):
+            run_study(StudyConfig(case="chebyshev", n_values=(32, 64, 128), tol=tol))
+
     def test_comment_anywhere_on_a_line(self, tmp_path):
         path = tmp_path / "study.cfg"
         path.write_text("case = chebyshev   # 1D\nn_values = 64, 128, 256#sizes\n"

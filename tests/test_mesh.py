@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,8 +136,7 @@ def simplex_mesh(pts):
     """Mesh of disjoint simplices, pts of shape (m, d+1, d)."""
     m, nloc, dim = pts.shape
     return SimplicialMesh(dim=dim, vertices=pts.reshape(-1, dim),
-                          elements=np.arange(m * nloc).reshape(m, nloc),
-                          boundary=np.ones(m * nloc, dtype=bool))
+                          elements=np.arange(m * nloc).reshape(m, nloc))
 
 
 def chebyshev_interior(n):
@@ -169,13 +170,12 @@ class TestConstruction:
     """The constructor is the one validity check of a hand-built mesh."""
 
     @staticmethod
-    def rebuilt(elements=None, boundary=None):
-        """Uniform 2D n=4 mesh built by hand, with edited elements or flags."""
+    def rebuilt(elements=None):
+        """Uniform 2D n=4 mesh built by hand, with edited elements."""
         uni = generate_uniform_mesh(2, 4)
         return SimplicialMesh(
             dim=2, vertices=uni.vertices,
             elements=uni.elements if elements is None else elements,
-            boundary=uni.boundary if boundary is None else boundary,
         )
 
     def test_clockwise_element_reoriented(self, cal2):
@@ -198,10 +198,43 @@ class TestConstruction:
         uni = generate_uniform_mesh(2, 4)
         with pytest.raises(ValueError, match="interior vertex 25 belongs to no element"):
             SimplicialMesh(dim=2, vertices=np.vstack([uni.vertices, [[0.5, 0.5]]]),
-                           elements=uni.elements, boundary=np.append(uni.boundary, False))
+                           elements=uni.elements)
+
+    def test_boundary_is_derived(self):
+        init = [f.name for f in dataclasses.fields(SimplicialMesh) if f.init]
+        assert init == ["dim", "vertices", "elements"]
+        uni = generate_uniform_mesh(2, 4)
+        with pytest.raises(TypeError):
+            SimplicialMesh(dim=2, vertices=uni.vertices, elements=uni.elements,
+                           boundary=uni.boundary)
+
+    def test_facet_of_three_elements_named(self):
+        elements = generate_uniform_mesh(2, 4).elements
+        with pytest.raises(ValueError, match=re.escape(
+                "facet (0, 6) is shared by more than two elements: 0, 1, 32")):
+            self.rebuilt(elements=np.vstack([elements, elements[:1]]))
+
+    def test_overlapping_pair_without_boundary_rejected(self):
+        with pytest.raises(ValueError, match="mesh has no boundary facet"):
+            SimplicialMesh(dim=2, vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                           elements=[[0, 1, 2], [0, 2, 1]])
+
+    def test_hanging_node_is_on_the_slit(self):
+        # halve the diagonal (6, 12) of grid cell (1, 1) in element 11 only:
+        # element 10 keeps the whole diagonal, so vertex 25 hangs and the
+        # diagonal becomes a slit whose vertices carry the Dirichlet condition
+        uni = generate_uniform_mesh(2, 4)
+        assert uni.elements[10:12].tolist() == [[6, 7, 12], [6, 12, 11]]
+        elements = np.vstack([uni.elements[:11], [[6, 25, 11], [25, 12, 11]],
+                              uni.elements[12:]])
+        mesh = SimplicialMesh(dim=2, vertices=np.vstack([uni.vertices, [[0.375, 0.375]]]),
+                              elements=elements)
+        assert np.flatnonzero(~mesh.boundary).tolist() == [7, 8, 11, 13, 16, 17, 18]
+        assert element_volumes(mesh).sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_no_interior_vertex_rejected_by_interior_map(self, cal2):
-        mesh = self.rebuilt(boundary=np.ones(25, dtype=bool))
+        mesh = SimplicialMesh(dim=2, vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                              elements=[[0, 1, 2]])
         field = identity_field(2)
         for compute in (lambda: assemble_stiffness(mesh, field),
                         lambda: assemble_mass(mesh),
@@ -481,18 +514,14 @@ def random_mesh(rng, index):
         interior = np.sort(rng.uniform(0.05, 0.95, n - 1))
         verts = np.concatenate(([0.0], interior, [1.0]))[:, None]
         elems = np.array([[i, i + 1] for i in range(n)])
-        boundary = np.zeros(n + 1, dtype=bool)
-        boundary[[0, -1]] = True
-        return SimplicialMesh(dim=1, vertices=verts, elements=elems,
-                              boundary=boundary)
+        return SimplicialMesh(dim=1, vertices=verts, elements=elems)
     n = int(rng.integers(2, 5)) if dim == 2 else int(rng.integers(2, 4))
     mesh = generate_uniform_mesh(dim, n)
     verts = np.array(mesh.vertices)
     jitter = rng.uniform(-0.12 / n, 0.12 / n, verts.shape)
     jitter[mesh.boundary] = 0.0
     verts += jitter
-    return SimplicialMesh(dim=dim, vertices=verts, elements=mesh.elements,
-                          boundary=mesh.boundary)
+    return SimplicialMesh(dim=dim, vertices=verts, elements=mesh.elements)
 
 
 class TestMeshIO:
@@ -547,6 +576,12 @@ class TestMeshIO:
                         "bad vertex index in ['0', 'one']", 4),
         "index-out-of-range": ("meshcond v1 dim=1 nv=2 ne=1\n0 1\n1 1\n0 2\n",
                                "vertex index 2 out of range", 4),
+        "flag-on-interior-vertex": ("meshcond v1 dim=1 nv=3 ne=2\n0 1\n0.5 1\n1 1\n0 1\n1 2\n",
+                                    "vertex 1 has boundary flag 1, but its elements "
+                                    "put it in the interior", 3),
+        "flag-off-boundary-vertex": ("meshcond v1 dim=1 nv=3 ne=2\n0 1\n0.5 0\n1 0\n0 1\n1 2\n",
+                                     "vertex 2 has boundary flag 0, but its elements "
+                                     "put it on the boundary", 4),
         "trailing-text": ("meshcond v1 dim=1 nv=2 ne=1\n0 1\n1 1\n0 1\n\n1 0\nend\n",
                           "text after the 2 vertex and 1 element lines: '1 0'", 6),
     }
