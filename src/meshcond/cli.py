@@ -30,7 +30,7 @@ from .mesh import (
     read_mesh,
     write_mesh,
 )
-from .spectral import ConvergenceError, extreme_eigenvalues
+from .spectral import ConvergenceError, check_tolerance, extreme_eigenvalues
 
 GENERATE_CASES = ("uniform1d", "uniform2d", "uniform3d", "chebyshev", "skew2d", "skew3d")
 
@@ -99,6 +99,7 @@ def _cmd_generate(args):
 
 
 def _cmd_analyze(args):
+    check_tolerance(args.tol, "--tol")
     mesh = read_mesh(args.mesh)
     field = parse_field_spec(args.field, mesh.dim)
     cal = resolve_calibration(args.calibration, mesh.dim, field)

@@ -28,6 +28,7 @@ from .mesh import (
     generate_skew_mesh_3d,
     generate_uniform_mesh,
 )
+from .spectral import check_tolerance
 
 __all__ = [
     "StudyConfig",
@@ -184,8 +185,7 @@ def _check_config(cfg):
         raise ValueError("skew sweeps need aspect >= 1")
     if cfg.case == "uniform" and cfg.dim not in (1, 2, 3):
         raise ValueError("uniform case needs dim in {1, 2, 3}")
-    if not 0.0 < cfg.tol <= 1e-4:
-        raise ValueError(f"tol must be in (0, 1e-4], got {cfg.tol}")
+    check_tolerance(cfg.tol, "tol")
 
 
 def study_dimension(cfg):

@@ -71,8 +71,10 @@ class SimplicialMesh:
     vertices and reorders them to positive orientation, raises
     DegenerateElementError for the first element with zero or non-finite
     volume, and raises ValueError for a facet shared by more than two
-    elements, for a mesh without a boundary facet and for a vertex that
-    belongs to no element.  A hanging node (a vertex inside a facet of a
+    elements, for a mesh without a boundary facet, for an interior facet
+    whose two elements lie on the same side of it (a tangled mesh, such as
+    one where a moved vertex turned an element inside out) and for a vertex
+    that belongs to no element.  A hanging node (a vertex inside a facet of a
     neighboring element) leaves one-element facets inside the domain, so a
     hand-built mesh with one is analyzed as the slit domain it describes;
     :func:`read_mesh` rejects a file that flags such a node as interior.
@@ -244,30 +246,52 @@ def _boundary_flags(elements, n_vertices):
     """Flags of the vertices of the facets that belong to exactly one element.
 
     Builds the facet table once: every element minus one vertex, sorted and
-    packed into one int64 key; sorting the keys groups equal facets into
-    runs.  Raises ValueError naming the first facet shared by more than two
-    elements, and for a mesh whose facets are all shared (its elements
-    overlap).
+    packed with the orientation the element induces on it into one int64
+    key; sorting the keys groups equal facets into runs, the two
+    orientations of one facet next to each other.  Raises ValueError naming
+    the first facet shared by more than two elements, for a mesh whose
+    facets are all shared (its elements overlap), and naming the first
+    facet whose two elements induce the same orientation on it (they lie
+    on the same side of it, so the mesh is tangled).
     """
     nloc = elements.shape[1]
     shape = (n_vertices,) * (nloc - 1)
     slots = list(itertools.combinations(range(nloc), nloc - 1))
-    # rows k * nloc to k * nloc + d are the d + 1 facets of element k
+    # rows k * nloc to k * nloc + d are the d + 1 facets of element k; slot
+    # j omits sorted vertex i = d - j, and a positively oriented element
+    # stored in sorted order, or with its last two vertices swapped (odd
+    # parity), induces the orientation (-1)^(i + parity) on that facet
+    parity = elements[:, -2] > elements[:, -1]
+    omitted_odd = np.arange(nloc - 1, -1, -1) % 2 == 1
+    sides = np.repeat(parity, nloc) ^ np.tile(omitted_odd, len(elements))
     facets = np.sort(elements, axis=1)[:, slots].reshape(-1, nloc - 1)
-    keys = np.ravel_multi_index(tuple(facets.T), shape)
+    keys = np.ravel_multi_index((*facets.T, sides), shape + (2,))
     grouped = np.sort(keys)
-    start = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    ids = grouped >> 1
+    start = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
     counts = np.diff(np.r_[start, len(grouped)])
-    crowded = grouped[start[counts > 2]]
+
+    def describe(first):
+        facet = ", ".join(str(int(v)) for v in np.unravel_index(ids[first], shape))
+        owners = ", ".join(str(r // nloc) for r in np.flatnonzero(keys >> 1 == ids[first]))
+        return facet, owners
+
+    crowded = start[counts > 2]
     if crowded.size:
-        facet = ", ".join(str(int(v)) for v in np.unravel_index(crowded[0], shape))
-        owners = ", ".join(str(r // nloc) for r in np.flatnonzero(keys == crowded[0]))
+        facet, owners = describe(crowded[0])
         raise ValueError(f"facet ({facet}) is shared by more than two elements: {owners}")
     boundary = np.zeros(n_vertices, dtype=bool)
-    for column in np.unravel_index(grouped[start[counts == 1]], shape):
+    for column in np.unravel_index(ids[start[counts == 1]], shape):
         boundary[column] = True
     if keys.size and not boundary.any():
         raise ValueError("mesh has no boundary facet: its elements overlap")
+    # with no run longer than two left, equal neighboring keys are a facet
+    # that both of its elements see with the same orientation
+    tangled = np.flatnonzero(grouped[1:] == grouped[:-1])
+    if tangled.size:
+        facet, owners = describe(tangled[0])
+        raise ValueError(
+            f"facet ({facet}) has elements {owners} on the same side: the mesh is tangled")
     return boundary
 
 

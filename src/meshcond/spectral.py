@@ -5,8 +5,10 @@ Lanczos with a sparse factorization.  The largest comes from Lanczos
 iteration, or, for a tridiagonal matrix (every 1D matrix), from LAPACK
 bisection plus inverse iteration.  Small orders use LAPACK's dense
 eigensolver for both.  The dense oracle is an independent in-repo solver for
-the same two extremes (Householder tridiagonalization followed by
-Sturm-sequence bisection) used to verify the production path at desk scale.
+the same two extremes, used to verify the production path at desk scale:
+LAPACK's Hessenberg reduction (not an eigensolver) brings the matrix to
+tridiagonal form, and in-repo Sturm-sequence bisection plus inverse
+iteration decide each eigenvalue.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "extreme_eigenvalues",
     "dense_eigenvalues_oracle",
     "cg_iteration_count",
+    "check_tolerance",
 ]
 
 _DENSE_CUTOFF = 64  # up to this order LAPACK's dense eigh replaces Lanczos
@@ -52,6 +55,12 @@ def _as_csr(mat):
     if sp.issparse(mat):
         return mat.tocsr()
     return sp.csr_matrix(np.asarray(mat, dtype=float))
+
+
+def check_tolerance(tol, name="rel_tol"):
+    """Raise ValueError, naming ``name``, unless ``tol`` is in (0, 1e-4]."""
+    if not 0.0 < tol <= 1e-4:
+        raise ValueError(f"{name} must be in (0, 1e-4], got {tol}")
 
 
 def extreme_eigenvalues(mat, rel_tol=1e-8):
@@ -80,8 +89,7 @@ def extreme_eigenvalues(mat, rel_tol=1e-8):
         If an iteration cap is hit, a LAPACK eigensolver fails, or the
         measured residual is above ``rel_tol``.
     """
-    if not 0.0 < rel_tol <= 1e-4:
-        raise ValueError(f"rel_tol must be in (0, 1e-4], got {rel_tol}")
+    check_tolerance(rel_tol)
     a = _as_csr(mat)
     n = a.shape[0]
     if n <= _DENSE_CUTOFF:
@@ -149,33 +157,6 @@ def _checked_result(a, lmin, vmin, lmax, vmax, rel_tol):
         lambda_min=lmin, lambda_max=lmax, kappa=lmax / lmin,
         rel_tol_achieved=achieved,
     )
-
-
-def _householder_tridiagonalize(a):
-    """Reduce a symmetric matrix to tridiagonal form in place.
-
-    Returns the diagonal and subdiagonal of the reduced matrix.
-    """
-    n = a.shape[0]
-    for k in range(n - 2):
-        x = a[k + 1:, k].copy()
-        nrm = np.linalg.norm(x)
-        if nrm == 0.0:
-            continue
-        alpha = -math.copysign(nrm, x[0])
-        v = x
-        v[0] -= alpha
-        vn = np.linalg.norm(v)
-        if vn == 0.0:
-            continue
-        v /= vn
-        b = a[k + 1:, k + 1:]
-        p = b @ v
-        q = p - (v @ p) * v
-        b -= 2.0 * np.outer(v, q)
-        b -= 2.0 * np.outer(q, v)
-        a[k + 1, k] = alpha
-    return np.diag(a).copy(), np.diag(a, -1).copy()
 
 
 def _sturm_count(d, e2, x):
@@ -258,14 +239,18 @@ def _refine_extreme(a, lam, steps=3):
 def dense_eigenvalues_oracle(mat):
     """Smallest and largest eigenvalue of a symmetric matrix, ``[lmin, lmax]``.
 
-    Independent verification path that calls no LAPACK eigensolver:
-    in-repo Householder tridiagonalization, Sturm-sequence bisection for
-    the two extremes of the tridiagonal, then inverse iteration on the
-    dense matrix so both are accurate in a relative sense even for large
-    condition numbers.  The matrix is first scaled by the power of two that
-    brings its largest entry into [0.5, 1), so the squares formed on the way
-    neither underflow nor overflow; the scaling is exact, and undone on the
-    result.
+    Independent verification path that calls no LAPACK eigensolver: the
+    matrix is reduced to tridiagonal form by LAPACK's Hessenberg reduction
+    (``gehrd``, orthogonal similarity, so the spectrum is kept), then
+    in-repo Sturm-sequence bisection finds the two extremes of the
+    tridiagonal and inverse iteration on the dense matrix sharpens them so
+    both are accurate in a relative sense even for large condition numbers.
+    The matrix is first scaled by the power of two that brings its largest
+    entry into [0.5, 1), so the squares formed on the way neither underflow
+    nor overflow; the scaling is exact, and undone on the result.
+
+    Raises ValueError for a matrix that is not square, not symmetric, has a
+    NaN or infinite entry, or is of order above 4000.
     """
     a = mat.toarray() if sp.issparse(mat) else np.array(mat, dtype=float)
     n = a.shape[0]
@@ -274,11 +259,17 @@ def dense_eigenvalues_oracle(mat):
     if n > _ORACLE_MAX_ORDER:
         raise ValueError(f"dense oracle is capped at order {_ORACLE_MAX_ORDER}")
     scale = np.abs(a).max()
+    if not np.isfinite(scale):
+        raise ValueError("matrix has a NaN or infinite entry")
     if scale > 0 and np.abs(a - a.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     exponent = math.frexp(scale)[1]
     np.ldexp(a, -exponent, out=a)
-    d, e = _householder_tridiagonalize(a.copy())
+    # a symmetric Hessenberg matrix is tridiagonal; only its two diagonals
+    # are read, and the n x n result is released before the refinement's LU
+    h = scipy.linalg.hessenberg(a, check_finite=False)
+    d, e = np.diag(h).copy(), np.diag(h, -1).copy()
+    del h
     extremes = [_refine_extreme(a, lam) for lam in _tridiagonal_extremes(d, e)]
     return np.ldexp(extremes, exponent)
 
@@ -287,7 +278,7 @@ def cg_iteration_count(mat, rhs, tol, scaling=None, maxiter=None):
     """Iterations of (optionally Jacobi-preconditioned) CG to a residual tol.
 
     Solves ``A x = rhs`` from a zero start and returns the number of
-    iterations needed to reach ``||r|| <= tol * ||rhs||``.  ``scaling``
+    iterations needed to reach ``||r|| < tol * ||rhs||``.  ``scaling``
     applies symmetric diagonal preconditioning with the given entries
     (preconditioner M = diag(s)^2).
     """
@@ -301,25 +292,20 @@ def cg_iteration_count(mat, rhs, tol, scaling=None, maxiter=None):
         return 0
     if maxiter is None:
         maxiter = 5 * n + 50
-    minv = None if scaling is None else 1.0 / np.asarray(scaling, dtype=float) ** 2
+    minv = None
+    if scaling is not None:
+        minv = sp.diags(1.0 / np.asarray(scaling, dtype=float) ** 2)
+    iterations = 0
 
-    x = np.zeros(n)
-    r = b.copy()
-    z = r if minv is None else minv * r
-    p = z.copy()
-    rz = r @ z
-    for it in range(1, maxiter + 1):
-        ap = a @ p
-        alpha = rz / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= tol * bnorm:
-            return it
-        z = r if minv is None else minv * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise ConvergenceError(
-        f"CG did not reach tol {tol:.3e} in {maxiter} iterations "
-        f"(residual {np.linalg.norm(r) / bnorm:.3e})"
-    )
+    def count(xk):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = spla.cg(a, b, rtol=tol, atol=0.0, maxiter=maxiter, M=minv,
+                      callback=count)
+    if info != 0:
+        raise ConvergenceError(
+            f"CG did not reach tol {tol:.3e} in {maxiter} iterations "
+            f"(residual {np.linalg.norm(b - a @ x) / bnorm:.3e})"
+        )
+    return iterations

@@ -297,7 +297,7 @@ def test_criterion_8_solver_cross_validation(battery):
     seen = set()
     worst = 0.0
     for e in entries:
-        if e.field.kind != "identity" or e.mesh.n_interior > 3000:
+        if e.mesh.n_interior > 3000:
             continue
         if e.label in seen:
             continue
@@ -309,5 +309,5 @@ def test_criterion_8_solver_cross_validation(battery):
             worst = max(worst, dev_min, dev_max)
             assert dev_min <= 1e-8, e.label
             assert dev_max <= 1e-8, e.label
-    assert len(seen) >= 9
+    assert len(seen) >= 12
     return f"{len(seen)} meshes, worst relative deviation {worst:.2e}"

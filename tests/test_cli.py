@@ -169,6 +169,24 @@ class TestAnalyze:
         assert capsys.readouterr().err == (
             f"meshcond: error: bad number in field spec {spec!r}\n")
 
+    @pytest.mark.parametrize("tol", ["0.5", "0", "nan"])
+    def test_bad_tol_exits_one_before_calibrating(self, tmp_path, capsys, monkeypatch,
+                                                  tol):
+        import meshcond.experiments as experiments
+
+        def calibrate(*args):
+            raise AssertionError("calibrated before --tol was checked")
+
+        monkeypatch.setattr(experiments, "calibrate_constant", calibrate)
+        mesh_path = tmp_path / "u.msh"
+        write_mesh(generate_uniform_mesh(2, 4), mesh_path)
+        code = run(["analyze", "--mesh", str(mesh_path), "--tol", tol,
+                    "--csv", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"meshcond: error: --tol must be in (0, 1e-4], got {float(tol)}\n")
+        assert not (tmp_path / "r.csv").exists()
+
     def test_mass_eigensolve_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         def fail(mat, rel_tol):
             raise ConvergenceError("mass eigensolve did not converge")
@@ -252,8 +270,15 @@ def _clockwise(lines):
     return [*lines[:29], f"{i0} {i2} {i1}", *lines[30:]]
 
 
+def _tangled(lines):
+    # vertex 6 of the grid, (0.25, 0.25), moved across its neighbors
+    return [*lines[:7], "0.6 0.6 0", *lines[8:]]
+
+
 class TestMeshFileChecks:
     @pytest.mark.parametrize("edit, code, message", [
+        (_tangled, 1,
+         "facet (6, 7) has elements 3, 10 on the same side: the mesh is tangled"),
         (_orphan_vertex, 1, "interior vertex 25 belongs to no element"),
         (_all_boundary, 1, "mesh has no interior vertex"),
         (_trailing_text, 1,

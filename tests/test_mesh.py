@@ -219,6 +219,19 @@ class TestConstruction:
             SimplicialMesh(dim=2, vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
                            elements=[[0, 1, 2], [0, 2, 1]])
 
+    @pytest.mark.parametrize("dim, n, vertex, moved, message", [
+        (2, 4, 6, (0.6, 0.6), "facet (6, 7) has elements 3, 10 on the same side"),
+        (3, 3, 21, (0.9, 0.2, 0.5), "facet (1, 5, 21) has elements 0, 9 on the same side"),
+    ], ids=["2d", "3d"])
+    def test_tangled_mesh_rejected(self, dim, n, vertex, moved, message):
+        # the moved vertex turns some of its elements inside out; each is
+        # reoriented, but then lies on the same side of a facet as its neighbor
+        uni = generate_uniform_mesh(dim, n)
+        vertices = np.array(uni.vertices)
+        vertices[vertex] = moved
+        with pytest.raises(ValueError, match=re.escape(f"{message}: the mesh is tangled")):
+            SimplicialMesh(dim=dim, vertices=vertices, elements=uni.elements)
+
     def test_hanging_node_is_on_the_slit(self):
         # halve the diagonal (6, 12) of grid cell (1, 1) in element 11 only:
         # element 10 keeps the whole diagonal, so vertex 25 hangs and the

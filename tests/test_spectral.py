@@ -9,7 +9,7 @@ from meshcond.assembly import (
     assemble_stiffness,
     jacobi_scaling,
 )
-from meshcond.diffusion import identity_field
+from meshcond.diffusion import identity_field, rotated_anisotropic_field
 from meshcond.mesh import (
     generate_chebyshev_mesh,
     generate_skew_mesh_2d,
@@ -312,13 +312,82 @@ class TestDenseOracle:
             dense_eigenvalues_oracle(np.ones((2, 3)))
         with pytest.raises(ValueError):
             dense_eigenvalues_oracle(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                dense_eigenvalues_oracle(np.array([[1.0, bad], [bad, 1.0]]))
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
             dense_eigenvalues_oracle(sp.identity(4001, format="csr"))
 
+    def test_calls_no_library_eigensolver(self, monkeypatch):
+        # the oracle checks the production eigensolvers, so it must reach
+        # the same extremes with every public eigensolver disabled
+        a = assemble_stiffness(generate_skew_mesh_2d(12, 125.0), identity_field(2))
+        rng = np.random.default_rng(21)
+        sym = rng.standard_normal((60, 60))
+        mats = [a, _scaled(a), sym + sym.T]
+        unpatched = [dense_eigenvalues_oracle(mat) for mat in mats]
+
+        def disabled(*args, **kwargs):
+            raise AssertionError("the oracle called a library eigensolver")
+
+        patched = []
+        for module in (np.linalg, scipy.linalg, spectral.spla):
+            for name in dir(module):
+                if name.startswith("eig") or name == "lobpcg":
+                    monkeypatch.setattr(module, name, disabled)
+                    patched.append(name)
+        assert {"eigvalsh", "eigh_tridiagonal", "eigsh", "lobpcg"} <= set(patched)
+        for mat, ref in zip(mats, unpatched):
+            assert dense_eigenvalues_oracle(mat).tolist() == ref.tolist()
+
+
+def _reference_pcg_count(a, b, tol, scaling=None, maxiter=None):
+    """Textbook PCG loop from a zero start, the reference for scipy's cg."""
+    n = a.shape[0]
+    bnorm = np.linalg.norm(b)
+    if maxiter is None:
+        maxiter = 5 * n + 50
+    minv = None if scaling is None else 1.0 / np.asarray(scaling, dtype=float) ** 2
+    x = np.zeros(n)
+    r = b.copy()
+    z = r if minv is None else minv * r
+    p = z.copy()
+    rz = r @ z
+    for it in range(1, maxiter + 1):
+        ap = a @ p
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        if np.linalg.norm(r) <= tol * bnorm:
+            return it
+        z = r if minv is None else minv * r
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("reference PCG did not converge")
+
 
 class TestCgIterationCount:
+    @pytest.mark.parametrize("jacobi", [False, True], ids=["plain", "jacobi"])
+    @pytest.mark.parametrize("build", [
+        lambda: assemble_stiffness(generate_chebyshev_mesh(64), identity_field(1)),
+        lambda: assemble_stiffness(generate_chebyshev_mesh(256), identity_field(1)),
+        _cheb_1024,
+        lambda: assemble_stiffness(generate_skew_mesh_2d(20, 8.0),
+                                   rotated_anisotropic_field(1000.0, 1.0)),
+        lambda: assemble_stiffness(generate_skew_mesh_2d(40, 125.0),
+                                   rotated_anisotropic_field(1000.0, 1.0)),
+    ], ids=["chebyshev-64", "chebyshev-256", "chebyshev-1024",
+            "skew2d-20-a8-rotated", "skew2d-40-a125-rotated"])
+    def test_matches_reference_loop(self, build, jacobi):
+        a = build()
+        b = np.random.default_rng(8).standard_normal(a.shape[0])
+        scaling = jacobi_scaling(a) if jacobi else None
+        expected = _reference_pcg_count(a, b, 1e-8, scaling=scaling)
+        assert cg_iteration_count(a, b, 1e-8, scaling=scaling) == expected
+
     def test_identity_one_iteration(self):
         assert cg_iteration_count(np.eye(6), np.ones(6), 1e-12) == 1
 
