@@ -98,8 +98,8 @@ class SimplicialMesh:
             raise ValueError("elements must have d + 1 vertices each")
         if elements.size and (elements.min() < 0 or elements.max() >= len(vertices)):
             raise ValueError("element vertex index out of range")
-        elements = _orient_positive(vertices, elements, self.dim)
-        boundary = _boundary_flags(elements, len(vertices))
+        elements, parity = _orient_positive(vertices, elements, self.dim)
+        boundary = _boundary_flags(elements, parity, len(vertices))
         used = np.zeros(len(vertices), dtype=bool)
         used[elements.ravel()] = True
         missing = np.flatnonzero(~used)
@@ -224,8 +224,10 @@ def element_diameters(mesh):
 def _orient_positive(vertices, elements, dim):
     """Return elements reordered so every signed volume is positive.
 
-    Raises DegenerateElementError naming the first element whose volume is
-    zero or not finite.
+    Each element is stored sorted, with its last two vertices swapped where
+    the sorted order has negative volume; the second return value flags
+    those odd-parity elements.  Raises DegenerateElementError naming the
+    first element whose volume is zero or not finite.
     """
     elements = np.sort(elements, axis=1)
     vols = _signed_volumes(vertices, elements, dim)
@@ -239,10 +241,10 @@ def _orient_positive(vertices, elements, dim):
             elements[flip, -1].copy(),
             elements[flip, -2].copy(),
         )
-    return elements
+    return elements, flip
 
 
-def _boundary_flags(elements, n_vertices):
+def _boundary_flags(elements, parity, n_vertices):
     """Flags of the vertices of the facets that belong to exactly one element.
 
     Builds the facet table once: every element minus one vertex, sorted and
@@ -252,16 +254,22 @@ def _boundary_flags(elements, n_vertices):
     the first facet shared by more than two elements, for a mesh whose
     facets are all shared (its elements overlap), and naming the first
     facet whose two elements induce the same orientation on it (they lie
-    on the same side of it, so the mesh is tangled).
+    on the same side of it, so the mesh is tangled).  ``elements`` and
+    ``parity`` are as returned by :func:`_orient_positive`.
     """
     nloc = elements.shape[1]
     shape = (n_vertices,) * (nloc - 1)
+    key_max = np.iinfo(np.int64).max
+    if n_vertices ** (nloc - 1) * 2 > key_max:
+        limit = round((key_max / 2) ** (1 / (nloc - 1)))
+        while limit ** (nloc - 1) * 2 > key_max:
+            limit -= 1
+        raise ValueError(
+            f"a {nloc - 1}D mesh can have at most {limit} vertices, got {n_vertices}")
     slots = list(itertools.combinations(range(nloc), nloc - 1))
     # rows k * nloc to k * nloc + d are the d + 1 facets of element k; slot
     # j omits sorted vertex i = d - j, and a positively oriented element
-    # stored in sorted order, or with its last two vertices swapped (odd
-    # parity), induces the orientation (-1)^(i + parity) on that facet
-    parity = elements[:, -2] > elements[:, -1]
+    # induces the orientation (-1)^(i + parity) on that facet
     omitted_odd = np.arange(nloc - 1, -1, -1) % 2 == 1
     sides = np.repeat(parity, nloc) ^ np.tile(omitted_odd, len(elements))
     facets = np.sort(elements, axis=1)[:, slots].reshape(-1, nloc - 1)

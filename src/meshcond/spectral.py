@@ -280,7 +280,8 @@ def cg_iteration_count(mat, rhs, tol, scaling=None, maxiter=None):
     Solves ``A x = rhs`` from a zero start and returns the number of
     iterations needed to reach ``||r|| < tol * ||rhs||``.  ``scaling``
     applies symmetric diagonal preconditioning with the given entries
-    (preconditioner M = diag(s)^2).
+    (preconditioner M = diag(s)^2).  Raises ConvergenceError if ``maxiter``
+    iterations (default 5n + 50) do not reach the tolerance.
     """
     a = _as_csr(mat)
     b = np.asarray(rhs, dtype=float)
@@ -301,9 +302,11 @@ def cg_iteration_count(mat, rhs, tol, scaling=None, maxiter=None):
         nonlocal iterations
         iterations += 1
 
-    x, info = spla.cg(a, b, rtol=tol, atol=0.0, maxiter=maxiter, M=minv,
+    # scipy's cg tests the residual only before an update, so one spare
+    # iteration lets a solve that converges on update maxiter report it
+    x, info = spla.cg(a, b, rtol=tol, atol=0.0, maxiter=maxiter + 1, M=minv,
                       callback=count)
-    if info != 0:
+    if info != 0 or iterations > maxiter:
         raise ConvergenceError(
             f"CG did not reach tol {tol:.3e} in {maxiter} iterations "
             f"(residual {np.linalg.norm(b - a @ x) / bnorm:.3e})"

@@ -232,6 +232,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match=re.escape(f"{message}: the mesh is tangled")):
             SimplicialMesh(dim=dim, vertices=vertices, elements=uni.elements)
 
+    @pytest.mark.parametrize("dim, limit", [(2, 2_147_483_647), (3, 1_664_510)])
+    def test_facet_key_vertex_limit(self, dim, limit):
+        # facet keys pack d vertex indices and one orientation bit into int64
+        element = np.arange(dim + 1)[None, :]
+        parity = np.array([False])
+        with pytest.raises(ValueError, match=re.escape(
+                f"a {dim}D mesh can have at most {limit} vertices, got {limit + 1}")):
+            mesh_module._boundary_flags(element, parity, limit + 1)
+        if dim == 3:
+            assert mesh_module._boundary_flags(element, parity, limit)[:4].all()
+
     def test_hanging_node_is_on_the_slit(self):
         # halve the diagonal (6, 12) of grid cell (1, 1) in element 11 only:
         # element 10 keeps the whole diagonal, so vertex 25 hangs and the

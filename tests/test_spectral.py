@@ -390,6 +390,17 @@ class TestCgIterationCount:
 
     def test_identity_one_iteration(self):
         assert cg_iteration_count(np.eye(6), np.ones(6), 1e-12) == 1
+        assert cg_iteration_count(np.eye(6), np.ones(6), 1e-12, maxiter=1) == 1
+
+    @pytest.mark.parametrize("jacobi", [False, True], ids=["plain", "jacobi"])
+    def test_converging_on_the_last_iteration(self, jacobi):
+        a = assemble_stiffness(generate_chebyshev_mesh(64), identity_field(1))
+        b = np.random.default_rng(8).standard_normal(a.shape[0])
+        scaling = jacobi_scaling(a) if jacobi else None
+        needed = _reference_pcg_count(a, b, 1e-8, scaling=scaling)
+        assert cg_iteration_count(a, b, 1e-8, scaling=scaling, maxiter=needed) == needed
+        with pytest.raises(ConvergenceError, match=f"in {needed - 1} iterations"):
+            cg_iteration_count(a, b, 1e-8, scaling=scaling, maxiter=needed - 1)
 
     def test_finite_termination(self):
         rng = np.random.default_rng(3)
