@@ -34,7 +34,12 @@ from .mesh import (
     patch_sums,
     reference_gradient_bound,
 )
-from .spectral import ConvergenceError, extreme_eigenvalues
+from .spectral import (
+    ConvergenceError,
+    extreme_eigenvalues,
+    shared_inverses,
+    smallest_eigenvalue,
+)
 
 __all__ = [
     "QualityMeasures",
@@ -315,12 +320,25 @@ def _lambda_min_bound(geom, d_min, cal, scaled):
     )
 
 
-def _eigenvalues_or_none(mat, rel_tol):
+def _eigenvalues_or_none(mat, rel_tol, inverse):
     """Extreme eigenvalues of ``mat``, or None if the eigensolver fails."""
     try:
-        return extreme_eigenvalues(mat, rel_tol)
+        return extreme_eigenvalues(mat, rel_tol, inverse=inverse)
     except ConvergenceError:
         return None
+
+
+def _stiffness_eigenvalues(a, rel_tol):
+    """Extreme eigenvalues of A and of S^-1 A S^-1, each None if its solve fails.
+
+    Both lambda_min solves share one sparse LU of A.  It is released on
+    return, before the estimates allocate their per-element arrays, so the
+    peak memory stays that of one factorization.
+    """
+    s = jacobi_scaling(a)
+    inverse, inverse_scaled = shared_inverses(a, s)
+    return (_eigenvalues_or_none(a, rel_tol, inverse),
+            _eigenvalues_or_none(apply_symmetric_scaling(a, s), rel_tol, inverse_scaled))
 
 
 def condition_bounds(mesh, field, cal, rel_tol=1e-8):
@@ -335,9 +353,7 @@ def condition_bounds(mesh, field, cal, rel_tol=1e-8):
     n = mesh.n_elements
     check_calibration(cal, d, field)
     a = assemble_stiffness(mesh, field)
-    scaled = apply_symmetric_scaling(a, jacobi_scaling(a))
-    exact = _eigenvalues_or_none(a, rel_tol)
-    exact_scaled = _eigenvalues_or_none(scaled, rel_tol)
+    exact, exact_scaled = _stiffness_eigenvalues(a, rel_tol)
     lmax = lambda_max_bounds(a.diagonal(), d)
     geom = _ElementData.of(mesh, field)
     d_min, _ = field_spectral_bounds(field)
@@ -418,7 +434,7 @@ def calibrate_constant(dim, field, n_ref, rel_tol=1e-8):
             f"reference mesh n={n_ref} has only {mesh.n_interior} interior vertices"
         )
     a = assemble_stiffness(mesh, field)
-    lmin = extreme_eigenvalues(a, rel_tol).lambda_min
+    lmin = smallest_eigenvalue(a, rel_tol)
     d_min, _ = field_spectral_bounds(field)
     raw = d_min / mesh.n_elements / _volume_factor(element_volumes(mesh), dim)
     return CalibrationConstant(

@@ -105,7 +105,11 @@ def _cmd_analyze(args):
     cal = resolve_calibration(args.calibration, mesh.dim, field)
     row, violations = analyze_mesh(mesh, field, cal, tol=args.tol,
                                    n_label=mesh.n_elements)
-    mass_exact = extreme_eigenvalues(assemble_mass(mesh), args.tol)
+    mass = assemble_mass(mesh)
+    # B - diag(B)/2 is a sum of positive semidefinite element matrices, so
+    # lambda_min(B) >= min_j B_jj / 2 (Wathen 1987)
+    mass_exact = extreme_eigenvalues(mass, args.tol,
+                                     lower_bound=0.5 * mass.diagonal().min())
     violations += outside_envelope("mass kappa", mass_exact.kappa,
                                    mass_condition_bounds(mesh).two_sided)
     # written only once every solve has succeeded, so a failure leaves no report

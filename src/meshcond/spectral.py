@@ -1,9 +1,12 @@
 """Extreme eigenvalues, a dense eigenvalue oracle and a CG iteration counter.
 
 The production path computes the smallest eigenvalue by shift-and-invert
-Lanczos with a sparse factorization.  The largest comes from Lanczos
-iteration, or, for a tridiagonal matrix (every 1D matrix), from LAPACK
-bisection plus inverse iteration.  Small orders use LAPACK's dense
+Lanczos with a sparse factorization.  A stiffness matrix A and its Jacobi
+scaling S^-1 A S^-1 share one LU of A, since (S^-1 A S^-1)^-1 = S A^-1 S;
+a proven lower bound on the smallest eigenvalue (Wathen's min_j B_jj / 2
+for a mass matrix) moves the pole up to it.  The largest eigenvalue comes
+from Lanczos iteration, or, for a tridiagonal matrix (every 1D matrix), from
+LAPACK bisection plus inverse iteration.  Small orders use LAPACK's dense
 eigensolver for both.  The dense oracle is an independent in-repo solver for
 the same two extremes, used to verify the production path at desk scale:
 LAPACK's Hessenberg reduction (not an eigensolver) brings the matrix to
@@ -14,6 +17,7 @@ iteration decide each eigenvalue.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import sys
 import warnings
@@ -28,6 +32,8 @@ __all__ = [
     "ConvergenceError",
     "SpectralResult",
     "extreme_eigenvalues",
+    "smallest_eigenvalue",
+    "shared_inverses",
     "dense_eigenvalues_oracle",
     "cg_iteration_count",
     "check_tolerance",
@@ -35,6 +41,10 @@ __all__ = [
 
 _DENSE_CUTOFF = 64  # up to this order LAPACK's dense eigh replaces Lanczos
 _ORACLE_MAX_ORDER = 4000
+# relative distance of the shift-invert pole below a proven lower bound on
+# lambda_min: A - sigma I stays well conditioned even when lambda_min sits on
+# the bound, and the pole is still close enough for most of the speed-up
+_POLE_GAP = 1e-3
 
 
 class ConvergenceError(RuntimeError):
@@ -63,7 +73,7 @@ def check_tolerance(tol, name="rel_tol"):
         raise ValueError(f"{name} must be in (0, 1e-4], got {tol}")
 
 
-def extreme_eigenvalues(mat, rel_tol=1e-8):
+def extreme_eigenvalues(mat, rel_tol=1e-8, lower_bound=0.0, inverse=None):
     """Extreme eigenvalues of a sparse SPD matrix.
 
     lambda_min comes from Lanczos on the inverted operator (one sparse
@@ -82,46 +92,122 @@ def extreme_eigenvalues(mat, rel_tol=1e-8):
     mat : sparse or dense SPD matrix
     rel_tol : float
         Requested relative accuracy, in (0, 1e-4].
+    lower_bound : float
+        A proven lower bound on lambda_min, at least 0.  The shift-invert
+        pole goes just below it: the closer the pole is to lambda_min, the
+        faster Lanczos on the inverted operator converges (Ericsson & Ruhe
+        1980).  A lambda_min below it is never accepted.
+    inverse : callable, optional
+        Returns ``x -> mat^-1 x`` when called, for the lambda_min solve to
+        apply in place of a factorization of its own (see
+        :func:`shared_inverses`).  It fixes the pole at 0.
 
     Raises
     ------
     ConvergenceError
         If an iteration cap is hit, a LAPACK eigensolver fails, or the
         measured residual is above ``rel_tol``.
+    ValueError
+        If ``lower_bound`` is negative or not finite, or lambda_min is below it.
     """
     check_tolerance(rel_tol)
+    if not 0.0 <= lower_bound < math.inf:
+        raise ValueError(f"lower_bound must be finite and at least 0, got {lower_bound}")
     a = _as_csr(mat)
     n = a.shape[0]
     if n <= _DENSE_CUTOFF:
-        with _lapack("eigh"):
-            w, v = scipy.linalg.eigh(a.toarray())
-        return _checked_result(a, w[0], v[:, 0], w[-1], v[:, -1], rel_tol)
+        w, v = _dense_eigh(a)
+        return _checked_result(a, (w[0], v[:, 0]), (w[-1], v[:, -1]), rel_tol, lower_bound)
+    if _is_tridiagonal(a):
+        with _lapack("eigh_tridiagonal"):
+            wmax, vmax = scipy.linalg.eigh_tridiagonal(
+                a.diagonal(), a.diagonal(1), select="i", select_range=(n - 1, n - 1),
+            )
+        largest = wmax[0], vmax[:, 0]
+    else:
+        largest = _lanczos(a, rel_tol, which="LA")
+    sigma = 0.0 if inverse is not None else lower_bound * (1.0 - _POLE_GAP)
+    smallest = _smallest_pair(a, rel_tol, sigma, inverse)
+    return _checked_result(a, smallest, largest, rel_tol, lower_bound)
 
+
+def smallest_eigenvalue(mat, rel_tol=1e-8):
+    """Smallest eigenvalue of a sparse SPD matrix, without its largest.
+
+    The solve and the residual check are those of
+    :func:`extreme_eigenvalues` with its defaults, so the value is the same
+    to the last bit.  Raises ConvergenceError as that function does.
+    """
+    check_tolerance(rel_tol)
+    a = _as_csr(mat)
+    if a.shape[0] <= _DENSE_CUTOFF:
+        w, v = _dense_eigh(a)
+        lam, vec = w[0], v[:, 0]
+    else:
+        lam, vec = _smallest_pair(a, rel_tol, 0.0, None)
+    lam = _checked_lambda_min(lam, 0.0)
+    _measured_residual(a, rel_tol, (lam, vec))
+    return lam
+
+
+def shared_inverses(mat, scaling):
+    """Inverses of A and of S^-1 A S^-1, with S = diag(scaling), from one LU of A.
+
+    Returns two callables for the ``inverse`` argument of
+    :func:`extreme_eigenvalues`.  Called, they return ``x -> A^-1 x`` and
+    ``x -> s * A^-1 (s * x)``, since (S^-1 A S^-1)^-1 = S A^-1 S.  The first
+    call factors A with SuperLU's default options, so a pair that needs no
+    shift-invert solve (orders up to 64) is never factored.
+    """
+    s = np.asarray(scaling, dtype=float)
+
+    @functools.cache
+    def inverse():
+        return spla.splu(_as_csr(mat).tocsc()).solve
+
+    def inverse_scaled():
+        solve = inverse()
+        return lambda x: s * solve(s * x)
+
+    return inverse, inverse_scaled
+
+
+def _smallest_pair(a, rel_tol, sigma, inverse):
+    """Eigenpair nearest the pole ``sigma``, by shift-invert Lanczos.
+
+    Without ``inverse`` ARPACK factors A - sigma I itself.  Either way the
+    factorization is made before the Lanczos basis is allocated, so their
+    memory peaks do not add up.
+    """
+    if inverse is None:
+        return _lanczos(a.tocsc(), rel_tol, sigma=sigma, which="LM")
+    opinv = spla.LinearOperator(a.shape, matvec=inverse(), dtype=float)
+    return _lanczos(a, rel_tol, sigma=sigma, which="LM", OPinv=opinv)
+
+
+def _lanczos(a, rel_tol, **kwargs):
+    """One eigenpair from ``eigsh`` with the settings every solve shares.
+
+    Each solve starts from the same vector, so its result does not depend
+    on which other solves run beside it.
+    """
+    n = a.shape[0]
     ncv = min(n - 1, 32)
     maxiter = max(100, 50 * n // ncv)
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(n)
-    arpack_tol = rel_tol * 1e-2
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        if _is_tridiagonal(a):
-            with _lapack("eigh_tridiagonal"):
-                wmax, vmax = scipy.linalg.eigh_tridiagonal(
-                    a.diagonal(), a.diagonal(1), select="i",
-                    select_range=(n - 1, n - 1),
-                )
-        else:
-            wmax, vmax = spla.eigsh(
-                a, k=1, which="LA", tol=arpack_tol, maxiter=maxiter, ncv=ncv, v0=v0
-            )
-        wmin, vmin = spla.eigsh(
-            a.tocsc(), k=1, sigma=0.0, which="LM", tol=arpack_tol,
-            maxiter=maxiter, ncv=ncv, v0=v0,
-        )
+        w, v = spla.eigsh(a, k=1, tol=rel_tol * 1e-2, maxiter=maxiter, ncv=ncv,
+                          v0=v0, **kwargs)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"Lanczos did not converge within {maxiter} iterations: {exc}"
         ) from exc
-    return _checked_result(a, wmin[0], vmin[:, 0], wmax[0], vmax[:, 0], rel_tol)
+    return w[0], v[:, 0]
+
+
+def _dense_eigh(a):
+    with _lapack("eigh"):
+        return scipy.linalg.eigh(a.toarray())
 
 
 def _is_tridiagonal(a):
@@ -139,24 +225,40 @@ def _lapack(routine):
         raise ConvergenceError(f"LAPACK {routine} did not converge: {exc}") from exc
 
 
-def _checked_result(a, lmin, vmin, lmax, vmax, rel_tol):
-    """SpectralResult of two extreme eigenpairs, with their measured residual."""
-    lmin, lmax = float(lmin), float(lmax)
-    if lmin <= 0.0:
-        raise ValueError(f"matrix is not positive definite (lambda_min {lmin})")
-    # For a symmetric matrix the eigenvalue error is bounded by the
-    # residual norm, so this is an a-posteriori relative error bound.
-    res_max = np.linalg.norm(a @ vmax - lmax * vmax) / lmax
-    res_min = np.linalg.norm(a @ vmin - lmin * vmin) / lmin
-    achieved = float(max(res_max, res_min))
-    if achieved > rel_tol:
-        raise ConvergenceError(
-            f"residual {achieved:.3e} above requested tolerance {rel_tol:.3e}"
-        )
+def _checked_result(a, smallest, largest, rel_tol, lower_bound):
+    """SpectralResult of the two extreme eigenpairs, with their measured residual."""
+    lmin, lmax = _checked_lambda_min(smallest[0], lower_bound), float(largest[0])
+    achieved = _measured_residual(a, rel_tol, (lmax, largest[1]), (lmin, smallest[1]))
     return SpectralResult(
         lambda_min=lmin, lambda_max=lmax, kappa=lmax / lmin,
         rel_tol_achieved=achieved,
     )
+
+
+def _checked_lambda_min(lmin, lower_bound):
+    """lambda_min as a float, refused unless above 0 and at least ``lower_bound``."""
+    lmin = float(lmin)
+    if lmin <= 0.0:
+        raise ValueError(f"matrix is not positive definite (lambda_min {lmin})")
+    if lmin < lower_bound:
+        raise ValueError(f"lambda_min {lmin!r} is below its proven lower bound "
+                         f"{lower_bound!r}, so the bound is wrong")
+    return lmin
+
+
+def _measured_residual(a, rel_tol, *pairs):
+    """Largest relative residual ||A v - lam v|| / lam of the eigenpairs.
+
+    For a symmetric matrix the eigenvalue error is bounded by the residual
+    norm, so this is an a-posteriori relative error bound.  Raises
+    ConvergenceError if it is above ``rel_tol``.
+    """
+    achieved = max(float(np.linalg.norm(a @ vec - lam * vec) / lam) for lam, vec in pairs)
+    if achieved > rel_tol:
+        raise ConvergenceError(
+            f"residual {achieved:.3e} above requested tolerance {rel_tol:.3e}"
+        )
+    return achieved
 
 
 def _sturm_count(d, e2, x):

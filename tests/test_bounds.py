@@ -33,6 +33,7 @@ from meshcond.mesh import (
     mesh_statistics,
     reference_simplex,
 )
+import meshcond.spectral as spectral
 from meshcond.spectral import extreme_eigenvalues
 
 
@@ -365,6 +366,70 @@ class TestConditionBounds:
         for mesh, field, cal in cases:
             rep = condition_bounds(mesh, field, cal)
             assert rep.est_kappa >= rep.est_kappa_scaled
+
+
+class TestSharedFactorization:
+    """Both lambda_min solves of condition_bounds use one LU of A."""
+
+    @staticmethod
+    def case():
+        mesh = generate_skew_mesh_2d(16, 8.0)
+        field = rotated_anisotropic_field(100.0, 1.0)
+        return mesh, field, assemble_stiffness(mesh, field)
+
+    def test_one_splu_per_stiffness_matrix(self, cal2, monkeypatch):
+        import importlib
+
+        mesh, _, _ = self.case()
+        calls = []
+        # spectral's own splu, and the one ARPACK calls when given no inverse
+        arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+        for module in (spectral.spla, arpack):
+            def counted(mat, *args, _real=module.splu, **kwargs):
+                calls.append(mat.shape)
+                return _real(mat, *args, **kwargs)
+
+            monkeypatch.setattr(module, "splu", counted)
+        rep = condition_bounds(mesh, identity_field(2), cal2)
+        assert calls == [(mesh.n_interior, mesh.n_interior)]
+        assert rep.exact is not None and rep.exact_scaled is not None
+
+    def test_lambda_min_bit_identical_to_direct_eigsh(self):
+        import scipy.sparse.linalg as spla
+
+        mesh, field, a = self.case()
+        cal = calibrate_constant(2, field, 8)
+        n = a.shape[0]
+        ncv = min(n - 1, 32)
+        w, _ = spla.eigsh(a.tocsc(), k=1, sigma=0.0, which="LM", tol=1e-10,
+                          maxiter=max(100, 50 * n // ncv), ncv=ncv,
+                          v0=np.random.default_rng(0).standard_normal(n))
+        assert condition_bounds(mesh, field, cal, 1e-8).exact.lambda_min == w[0]
+
+    def test_scaled_lambda_min_matches_own_factorization(self):
+        mesh, field, a = self.case()
+        cal = calibrate_constant(2, field, 8)
+        scaled = apply_symmetric_scaling(a, jacobi_scaling(a))
+        own = extreme_eigenvalues(scaled, 1e-8)
+        rep = condition_bounds(mesh, field, cal)
+        assert rep.exact_scaled.lambda_min == pytest.approx(own.lambda_min, rel=1e-12)
+        assert rep.exact_scaled.lambda_max == own.lambda_max
+
+    def test_failed_scaled_solve_keeps_exact(self, monkeypatch):
+        mesh, field, a = self.case()
+        cal = calibrate_constant(2, field, 8)
+        ok = condition_bounds(mesh, field, cal)
+        real = spectral.spla.eigsh
+
+        def fail_scaled(mat, *args, **kwargs):
+            if kwargs.get("sigma") is not None and np.allclose(mat.diagonal(), 1.0):
+                raise spectral.spla.ArpackNoConvergence("forced", [], [])
+            return real(mat, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.spla, "eigsh", fail_scaled)
+        rep = condition_bounds(mesh, field, cal)
+        assert rep.exact_scaled is None
+        assert rep.exact == ok.exact
 
 
 class TestMUniformBound:

@@ -188,7 +188,7 @@ class TestAnalyze:
         assert not (tmp_path / "r.csv").exists()
 
     def test_mass_eigensolve_failure_exits_one(self, tmp_path, capsys, monkeypatch):
-        def fail(mat, rel_tol):
+        def fail(mat, rel_tol, **kwargs):
             raise ConvergenceError("mass eigensolve did not converge")
 
         monkeypatch.setattr(cli, "extreme_eigenvalues", fail)
@@ -202,7 +202,7 @@ class TestAnalyze:
         assert err == "meshcond: error: mass eigensolve did not converge\n"
 
     def test_mass_eigensolve_failure_leaves_no_report(self, tmp_path, monkeypatch):
-        def fail(mat, rel_tol):
+        def fail(mat, rel_tol, **kwargs):
             raise ConvergenceError("mass eigensolve did not converge")
 
         mesh_path = tmp_path / "u.msh"

@@ -2,7 +2,9 @@
 
 The envelopes are theorems for arbitrary conforming simplicial meshes:
 lambda_max(A) in [max A_jj, (d+1) max A_jj], lambda_max(S^-1 A S^-1) in
-[1, d+1], kappa(B) in [r, (d+2) r] and kappa(S^-1 B S^-1) <= d+2.  Every
+[1, d+1], kappa(B) in [r, (d+2) r] and kappa(S^-1 B S^-1) <= d+2, the last
+from Wathen's element-wise bound 1/2 <= lambda(S^-1 B S^-1) <= (d+2)/2
+(Wathen 1987), whose lower half also places the pole of the mass solve.  Every
 mesh here is a uniform grid with moved vertices over the same elements, so
 its Dirichlet boundary follows from the elements as for any other mesh.
 Each matrix has at most about 500 unknowns.
@@ -86,8 +88,12 @@ def envelope_failures(mesh, rng):
     out += outside_envelope("mass kappa", extreme_eigenvalues(mass).kappa,
                             mass_env.two_sided)
     scaled_mass = apply_symmetric_scaling(mass, jacobi_scaling(mass))
-    out += outside_envelope("scaled mass kappa", extreme_eigenvalues(scaled_mass).kappa,
+    scaled_mass_eigs = extreme_eigenvalues(scaled_mass)
+    out += outside_envelope("scaled mass kappa", scaled_mass_eigs.kappa,
                             (1.0, mass_env.scaled_upper))
+    wathen = (0.5, 0.5 * (d + 2))
+    out += outside_envelope("scaled mass lambda_min", scaled_mass_eigs.lambda_min, wathen)
+    out += outside_envelope("scaled mass lambda_max", scaled_mass_eigs.lambda_max, wathen)
     for field in fields(rng, d):
         a = assemble_stiffness(mesh, field)
         env = lambda_max_bounds(a.diagonal(), d)
@@ -109,3 +115,17 @@ def test_envelopes_hold(make, dim, seed):
     rng = np.random.default_rng([seed, dim, make is graded_mesh])
     mesh = make(rng, dim)
     assert envelope_failures(mesh, rng) == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mass_pole_at_wathen_bound(dim, seed):
+    """The pole at min_j B_jj / 2 gives lambda_min(B); a bound above it raises."""
+    rng = np.random.default_rng([seed, dim, 2])
+    mesh = graded_mesh(rng, dim)
+    mass = assemble_mass(mesh)
+    lmin = extreme_eigenvalues(mass).lambda_min
+    shifted = extreme_eigenvalues(mass, lower_bound=0.5 * mass.diagonal().min())
+    assert shifted.lambda_min == pytest.approx(lmin, rel=1e-10)
+    with pytest.raises(ValueError, match="below its proven lower bound"):
+        extreme_eigenvalues(mass, lower_bound=lmin * (1.0 + 1e-4))

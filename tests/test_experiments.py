@@ -274,11 +274,11 @@ class TestNoConvergenceRow:
 
         real = bounds_mod.extreme_eigenvalues
 
-        def fake(mat, rel_tol=1e-8):
+        def fake(mat, rel_tol=1e-8, **kwargs):
             scaled = np.allclose(mat.diagonal(), 1.0)
             if scaled or fail_unscaled:
                 raise ConvergenceError("forced")
-            return real(mat, rel_tol)
+            return real(mat, rel_tol, **kwargs)
 
         monkeypatch.setattr(bounds_mod, "extreme_eigenvalues", fake)
         calls = self._count_stiffness(monkeypatch)

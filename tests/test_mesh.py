@@ -548,7 +548,46 @@ def random_mesh(rng, index):
     return SimplicialMesh(dim=dim, vertices=verts, elements=mesh.elements)
 
 
+def loop_write_mesh(mesh, path):
+    """Line-by-line writer; write_mesh must produce the same bytes."""
+    with open(path, "w") as fh:
+        fh.write(
+            f"meshcond v1 dim={mesh.dim} nv={mesh.n_vertices} ne={mesh.n_elements}\n"
+        )
+        for coords, flag in zip(mesh.vertices, mesh.boundary):
+            vals = " ".join(f"{c:.17g}" for c in coords)
+            fh.write(f"{vals} {1 if flag else 0}\n")
+        for elem in mesh.elements:
+            fh.write(" ".join(str(int(v)) for v in elem) + "\n")
+
+
 class TestMeshIO:
+    def test_writer_matches_line_by_line_writer(self, tmp_path):
+        rng = np.random.default_rng(7)
+        wide = SimplicialMesh(dim=1, elements=[[0, 1], [1, 2], [2, 3], [3, 4]],
+                              vertices=[[-3e200], [-1e-300], [0.0], [5e-324], [1.0 / 3.0]])
+        meshes = [random_mesh(rng, i) for i in range(30)]
+        meshes += [generate_skew_mesh_2d(9, 40.0), generate_skew_mesh_3d(4, 7.0), wide]
+        for i, mesh in enumerate(meshes):
+            write_mesh(mesh, tmp_path / "new.msh")
+            loop_write_mesh(mesh, tmp_path / "old.msh")
+            assert (tmp_path / "new.msh").read_bytes() == (tmp_path / "old.msh").read_bytes(), i
+            back = read_mesh(tmp_path / "new.msh")
+            assert np.array_equal(back.vertices, mesh.vertices), i
+
+    def test_block_reader_matches_line_reader(self, tmp_path):
+        rng = np.random.default_rng(11)
+        for i in range(30):
+            mesh = random_mesh(rng, i)
+            write_mesh(mesh, tmp_path / "m.msh")
+            lines = (tmp_path / "m.msh").read_text().splitlines()
+            blocks = lines[1:1 + mesh.n_vertices], lines[1 + mesh.n_vertices:]
+            fast = mesh_module._load_blocks(*blocks, mesh.dim, mesh.n_vertices)
+            slow = mesh_module._parse_lines(*blocks, mesh.dim)
+            assert fast is not None
+            for got, want in zip(fast, slow):
+                assert got.dtype == want.dtype and np.array_equal(got, want), i
+
     def test_roundtrip_uniform(self, tmp_path):
         mesh = generate_uniform_mesh(1, 4)
         path = tmp_path / "m.msh"
@@ -608,6 +647,18 @@ class TestMeshIO:
                                      "put it on the boundary", 4),
         "trailing-text": ("meshcond v1 dim=1 nv=2 ne=1\n0 1\n1 1\n0 1\n\n1 0\nend\n",
                           "text after the 2 vertex and 1 element lines: '1 0'", 6),
+        # numbers a whole-block parse would accept, each refused on its line
+        "flag-spelled-as-float": ("meshcond v1 dim=1 nv=2 ne=1\n0 1.0\n1 1\n0 1\n",
+                                  "boundary flag must be 0 or 1, got '1.0'", 2),
+        "blank-vertex-line": ("meshcond v1 dim=1 nv=3 ne=2\n0 1\n\n1 1\n0 1\n1 2\n",
+                              "expected 2 fields on vertex line, got 0", 3),
+        "comment-on-element-line": ("meshcond v1 dim=1 nv=2 ne=1\n0 1\n1 1\n0 1 # x\n",
+                                    "expected 2 vertex indices, got 4", 4),
+        "negative-index": ("meshcond v1 dim=1 nv=2 ne=1\n0 1\n1 1\n-1 1\n",
+                           "vertex index -1 out of range", 4),
+        "first-of-two-bad-lines": (
+            "meshcond v1 dim=2 nv=3 ne=1\n0 0 1\n1 0 1\n0 inf 1\n0 1 2 3\n",
+            "non-finite coordinate [0.0, inf]", 4),
     }
 
     @pytest.mark.parametrize("case", MALFORMED)
