@@ -34,12 +34,7 @@ from .mesh import (
     patch_sums,
     reference_gradient_bound,
 )
-from .spectral import (
-    ConvergenceError,
-    extreme_eigenvalues,
-    shared_inverses,
-    smallest_eigenvalue,
-)
+from .spectral import ConvergenceError, extreme_eigenvalues, shared_inverses
 
 __all__ = [
     "QualityMeasures",
@@ -434,7 +429,7 @@ def calibrate_constant(dim, field, n_ref, rel_tol=1e-8):
             f"reference mesh n={n_ref} has only {mesh.n_interior} interior vertices"
         )
     a = assemble_stiffness(mesh, field)
-    lmin = smallest_eigenvalue(a, rel_tol)
+    lmin = extreme_eigenvalues(a, rel_tol).lambda_min
     d_min, _ = field_spectral_bounds(field)
     raw = d_min / mesh.n_elements / _volume_factor(element_volumes(mesh), dim)
     return CalibrationConstant(

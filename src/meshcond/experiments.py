@@ -23,6 +23,7 @@ from .bounds import (
 )
 from .diffusion import parse_field_spec
 from .mesh import (
+    check_generator_args,
     generate_chebyshev_mesh,
     generate_skew_mesh_2d,
     generate_skew_mesh_3d,
@@ -181,10 +182,14 @@ def _check_config(cfg):
     else:
         if not cfg.n_values:
             raise ValueError(f"case {cfg.case} needs n_values")
-    if cfg.case.endswith("-n") and cfg.aspect < 1.0:
-        raise ValueError("skew sweeps need aspect >= 1")
     if cfg.case == "uniform" and cfg.dim not in (1, 2, 3):
         raise ValueError("uniform case needs dim in {1, 2, 3}")
+    family = "skew" if cfg.case.startswith("skew") else cfg.case
+    for value in _sweep(cfg):
+        try:
+            check_generator_args(family, *_mesh_size(cfg, value))
+        except ValueError as exc:
+            raise ValueError(f"case {cfg.case}: {exc}") from exc
     check_tolerance(cfg.tol, "tol")
 
 
@@ -196,19 +201,28 @@ def study_dimension(cfg):
     return 2 if cfg.case.startswith("skew2d") else 3
 
 
+def _sweep(cfg):
+    return cfg.aspect_values if cfg.case.endswith("-aspect") else cfg.n_values
+
+
+def _mesh_size(cfg, value):
+    """(n, aspect) of the mesh at sweep value ``value``."""
+    if cfg.case.endswith("-aspect"):
+        return cfg.n, value
+    if cfg.case.endswith("-n"):
+        return value, cfg.aspect
+    return value, 1.0
+
+
 def _build_mesh(cfg, value):
-    case = cfg.case
-    if case == "uniform":
-        return generate_uniform_mesh(cfg.dim, value), value, 1.0
-    if case == "chebyshev":
-        return generate_chebyshev_mesh(value), value, 1.0
-    if case == "skew2d-n":
-        return generate_skew_mesh_2d(value, cfg.aspect), value, cfg.aspect
-    if case == "skew2d-aspect":
-        return generate_skew_mesh_2d(cfg.n, value), cfg.n, value
-    if case == "skew3d-n":
-        return generate_skew_mesh_3d(value, cfg.aspect), value, cfg.aspect
-    return generate_skew_mesh_3d(cfg.n, value), cfg.n, value
+    n, aspect = _mesh_size(cfg, value)
+    if cfg.case == "uniform":
+        return generate_uniform_mesh(cfg.dim, n), n, aspect
+    if cfg.case == "chebyshev":
+        return generate_chebyshev_mesh(n), n, aspect
+    if cfg.case.startswith("skew2d"):
+        return generate_skew_mesh_2d(n, aspect), n, aspect
+    return generate_skew_mesh_3d(n, aspect), n, aspect
 
 
 def outside_envelope(label, value, envelope):
@@ -318,9 +332,8 @@ def run_study(cfg):
     dim = study_dimension(cfg)
     field = parse_field_spec(cfg.field, dim)
     cal = resolve_calibration(cfg.calibration, dim, field)
-    sweep = cfg.aspect_values if cfg.case.endswith("-aspect") else cfg.n_values
     rows, violations = [], []
-    for value in sweep:
+    for value in _sweep(cfg):
         mesh, n_label, aspect_label = _build_mesh(cfg, value)
         row, bad = analyze_mesh(
             mesh, field, cal, tol=cfg.tol, n_label=n_label, aspect_label=aspect_label

@@ -29,6 +29,7 @@ __all__ = [
     "generate_chebyshev_mesh",
     "generate_skew_mesh_2d",
     "generate_skew_mesh_3d",
+    "check_generator_args",
     "element_volumes",
     "element_edge_matrices",
     "patch_sums",
@@ -36,6 +37,37 @@ __all__ = [
     "write_mesh",
     "read_mesh",
 ]
+
+# smallest subdivision count each generator family accepts
+_MIN_SUBDIVISIONS = {"uniform": 2, "chebyshev": 3, "skew": 4}
+
+
+def check_generator_args(family, n, aspect=1.0):
+    """Raise ValueError unless the ``family`` generator accepts ``n`` and ``aspect``.
+
+    ``family`` is ``uniform``, ``chebyshev`` or ``skew``; ``n`` must be at
+    least 2, 3 or 4 respectively, and ``aspect`` finite and at least 1.  A
+    skew mesh's squeezed layer must also stay between its neighboring
+    grid lines.
+    """
+    least = _MIN_SUBDIVISIONS[family]
+    if n < least:
+        raise ValueError(f"n must be at least {least}, got {n}")
+    if not 1.0 <= aspect < math.inf:
+        raise ValueError(f"aspect must be finite and at least 1, got {aspect}")
+    if family == "skew":
+        _moved_layer(n, aspect)
+
+
+def _moved_layer(n, aspect):
+    """Index j0 of the grid line a skew mesh moves down, and its new height."""
+    j0 = (n + 1) // 2
+    new_pos = (j0 - 1 + 1.0 / aspect) / n
+    if not ((j0 - 1) / n < new_pos < (j0 + 1) / n):
+        raise ValueError(
+            f"aspect {aspect} moves the grid layer across a neighboring line"
+        )
+    return j0, new_pos
 
 
 class MeshFormatError(ValueError):
@@ -323,8 +355,7 @@ def generate_uniform_mesh(dim, n):
     """
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    check_generator_args("uniform", n)
     coords, elems = _uniform_grid(dim, n)
     return SimplicialMesh(dim=dim, vertices=coords, elements=elems)
 
@@ -353,8 +384,7 @@ def generate_chebyshev_mesh(n):
     i = 1..N-1; the boundary vertices 0 and 1 are added so the mesh has
     exactly ``n`` elements.
     """
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
+    check_generator_args("chebyshev", n)
     i = np.arange(1, n)
     interior = 0.5 * (1.0 - np.cos((2 * i - 1) * np.pi / (2 * (n - 1))))
     coords = np.concatenate(([0.0], interior, [1.0]))[:, None]
@@ -369,16 +399,8 @@ def _skew_mesh(dim, n, aspect):
     the layer above absorbs the difference.  aspect == 1 leaves the mesh
     bit-for-bit identical to the uniform one.
     """
-    if n < 4:
-        raise ValueError(f"n must be at least 4, got {n}")
-    if aspect < 1.0:
-        raise ValueError(f"aspect must be at least 1, got {aspect}")
-    j0 = (n + 1) // 2
-    new_pos = (j0 - 1 + 1.0 / aspect) / n
-    if not ((j0 - 1) / n < new_pos < (j0 + 1) / n):
-        raise ValueError(
-            f"aspect {aspect} moves the grid layer across a neighboring line"
-        )
+    check_generator_args("skew", n, aspect)
+    j0, new_pos = _moved_layer(n, aspect)
     coords, elems = _uniform_grid(dim, n)
     coords[coords[:, -1] == j0 / n, -1] = new_pos
     return SimplicialMesh(dim=dim, vertices=coords, elements=elems)

@@ -1,23 +1,24 @@
 """Extreme eigenvalues, a dense eigenvalue oracle and a CG iteration counter.
 
 The production path computes the smallest eigenvalue by shift-and-invert
-Lanczos with a sparse factorization.  A stiffness matrix A and its Jacobi
-scaling S^-1 A S^-1 share one LU of A, since (S^-1 A S^-1)^-1 = S A^-1 S;
-a proven lower bound on the smallest eigenvalue (Wathen's min_j B_jj / 2
-for a mass matrix) moves the pole up to it.  The largest eigenvalue comes
-from Lanczos iteration, or, for a tridiagonal matrix (every 1D matrix), from
-LAPACK bisection plus inverse iteration.  Small orders use LAPACK's dense
-eigensolver for both.  The dense oracle is an independent in-repo solver for
-the same two extremes, used to verify the production path at desk scale:
-LAPACK's Hessenberg reduction (not an eigensolver) brings the matrix to
-tridiagonal form, and in-repo Sturm-sequence bisection plus inverse
-iteration decide each eigenvalue.
+Lanczos.  Every sparse LU is made in one place, which factors A - sigma I
+once and hands ARPACK its solve; ARPACK never factors a matrix itself.  A
+stiffness matrix A and its Jacobi scaling S^-1 A S^-1 share one LU of A,
+since (S^-1 A S^-1)^-1 = S A^-1 S; a proven lower bound on the smallest
+eigenvalue (Wathen's min_j B_jj / 2 for a mass matrix) moves the pole up
+to it.  The largest eigenvalue comes from Lanczos iteration, or, for a
+tridiagonal matrix (every 1D matrix), from LAPACK bisection plus inverse
+iteration.  Small orders use LAPACK's dense eigensolver for both.  The
+dense oracle is an independent in-repo solver for the same two extremes,
+used to verify the production path at desk scale: LAPACK's Hessenberg
+reduction (not an eigensolver) brings the matrix to tridiagonal form, and
+in-repo Sturm-sequence bisection plus inverse iteration decide each
+eigenvalue.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import sys
 import warnings
@@ -32,7 +33,6 @@ __all__ = [
     "ConvergenceError",
     "SpectralResult",
     "extreme_eigenvalues",
-    "smallest_eigenvalue",
     "shared_inverses",
     "dense_eigenvalues_oracle",
     "cg_iteration_count",
@@ -98,9 +98,9 @@ def extreme_eigenvalues(mat, rel_tol=1e-8, lower_bound=0.0, inverse=None):
         faster Lanczos on the inverted operator converges (Ericsson & Ruhe
         1980).  A lambda_min below it is never accepted.
     inverse : callable, optional
-        Returns ``x -> mat^-1 x`` when called, for the lambda_min solve to
-        apply in place of a factorization of its own (see
-        :func:`shared_inverses`).  It fixes the pole at 0.
+        ``x -> mat^-1 x``, applied by the lambda_min solve in place of a
+        factorization of its own (see :func:`shared_inverses`).  It fixes
+        the pole at 0.
 
     Raises
     ------
@@ -127,62 +127,35 @@ def extreme_eigenvalues(mat, rel_tol=1e-8, lower_bound=0.0, inverse=None):
     else:
         largest = _lanczos(a, rel_tol, which="LA")
     sigma = 0.0 if inverse is not None else lower_bound * (1.0 - _POLE_GAP)
-    smallest = _smallest_pair(a, rel_tol, sigma, inverse)
+    # factored after the lambda_max solve has released its Lanczos basis
+    opinv = spla.LinearOperator(a.shape, matvec=inverse or _shifted_inverse(a, sigma),
+                                dtype=float)
+    smallest = _lanczos(a, rel_tol, sigma=sigma, which="LM", OPinv=opinv)
     return _checked_result(a, smallest, largest, rel_tol, lower_bound)
 
 
-def smallest_eigenvalue(mat, rel_tol=1e-8):
-    """Smallest eigenvalue of a sparse SPD matrix, without its largest.
-
-    The solve and the residual check are those of
-    :func:`extreme_eigenvalues` with its defaults, so the value is the same
-    to the last bit.  Raises ConvergenceError as that function does.
-    """
-    check_tolerance(rel_tol)
-    a = _as_csr(mat)
-    if a.shape[0] <= _DENSE_CUTOFF:
-        w, v = _dense_eigh(a)
-        lam, vec = w[0], v[:, 0]
-    else:
-        lam, vec = _smallest_pair(a, rel_tol, 0.0, None)
-    lam = _checked_lambda_min(lam, 0.0)
-    _measured_residual(a, rel_tol, (lam, vec))
-    return lam
-
-
 def shared_inverses(mat, scaling):
-    """Inverses of A and of S^-1 A S^-1, with S = diag(scaling), from one LU of A.
+    """Solves with A and with S^-1 A S^-1, S = diag(scaling), from one LU of A.
 
-    Returns two callables for the ``inverse`` argument of
-    :func:`extreme_eigenvalues`.  Called, they return ``x -> A^-1 x`` and
-    ``x -> s * A^-1 (s * x)``, since (S^-1 A S^-1)^-1 = S A^-1 S.  The first
-    call factors A with SuperLU's default options, so a pair that needs no
-    shift-invert solve (orders up to 64) is never factored.
+    Returns ``x -> A^-1 x`` and ``x -> s * A^-1 (s * x)``, since
+    (S^-1 A S^-1)^-1 = S A^-1 S, for the ``inverse`` argument of
+    :func:`extreme_eigenvalues`.
     """
     s = np.asarray(scaling, dtype=float)
-
-    @functools.cache
-    def inverse():
-        return spla.splu(_as_csr(mat).tocsc()).solve
-
-    def inverse_scaled():
-        solve = inverse()
-        return lambda x: s * solve(s * x)
-
-    return inverse, inverse_scaled
+    solve = _shifted_inverse(_as_csr(mat), 0.0)
+    return solve, lambda x: s * solve(s * x)
 
 
-def _smallest_pair(a, rel_tol, sigma, inverse):
-    """Eigenpair nearest the pole ``sigma``, by shift-invert Lanczos.
+def _shifted_inverse(a, sigma):
+    """``x -> (A - sigma I)^-1 x`` from SuperLU with its default options.
 
-    Without ``inverse`` ARPACK factors A - sigma I itself.  Either way the
-    factorization is made before the Lanczos basis is allocated, so their
-    memory peaks do not add up.
+    This is the only sparse factorization of the module.  A zero shift
+    leaves A as it is, explicit zeros included, so the LU is the one ARPACK
+    would make for ``sigma=0``.
     """
-    if inverse is None:
-        return _lanczos(a.tocsc(), rel_tol, sigma=sigma, which="LM")
-    opinv = spla.LinearOperator(a.shape, matvec=inverse(), dtype=float)
-    return _lanczos(a, rel_tol, sigma=sigma, which="LM", OPinv=opinv)
+    if sigma:
+        a = a - sigma * sp.eye(a.shape[0])
+    return spla.splu(a.tocsc()).solve
 
 
 def _lanczos(a, rel_tol, **kwargs):
@@ -226,39 +199,30 @@ def _lapack(routine):
 
 
 def _checked_result(a, smallest, largest, rel_tol, lower_bound):
-    """SpectralResult of the two extreme eigenpairs, with their measured residual."""
-    lmin, lmax = _checked_lambda_min(smallest[0], lower_bound), float(largest[0])
-    achieved = _measured_residual(a, rel_tol, (lmax, largest[1]), (lmin, smallest[1]))
-    return SpectralResult(
-        lambda_min=lmin, lambda_max=lmax, kappa=lmax / lmin,
-        rel_tol_achieved=achieved,
-    )
+    """SpectralResult of the two extreme eigenpairs, with their measured residual.
 
-
-def _checked_lambda_min(lmin, lower_bound):
-    """lambda_min as a float, refused unless above 0 and at least ``lower_bound``."""
-    lmin = float(lmin)
+    lambda_min must be above 0 and at least ``lower_bound`` (ValueError).
+    ``rel_tol_achieved`` is the larger relative residual ||A v - lam v|| / lam
+    of the two pairs; for a symmetric matrix the eigenvalue error is bounded
+    by the residual norm, so this is an a-posteriori relative error bound.
+    Raises ConvergenceError if it is above ``rel_tol``.
+    """
+    lmin, lmax = float(smallest[0]), float(largest[0])
     if lmin <= 0.0:
         raise ValueError(f"matrix is not positive definite (lambda_min {lmin})")
     if lmin < lower_bound:
         raise ValueError(f"lambda_min {lmin!r} is below its proven lower bound "
                          f"{lower_bound!r}, so the bound is wrong")
-    return lmin
-
-
-def _measured_residual(a, rel_tol, *pairs):
-    """Largest relative residual ||A v - lam v|| / lam of the eigenpairs.
-
-    For a symmetric matrix the eigenvalue error is bounded by the residual
-    norm, so this is an a-posteriori relative error bound.  Raises
-    ConvergenceError if it is above ``rel_tol``.
-    """
-    achieved = max(float(np.linalg.norm(a @ vec - lam * vec) / lam) for lam, vec in pairs)
+    achieved = max(float(np.linalg.norm(a @ vec - lam * vec) / lam)
+                   for lam, vec in ((lmax, largest[1]), (lmin, smallest[1])))
     if achieved > rel_tol:
         raise ConvergenceError(
             f"residual {achieved:.3e} above requested tolerance {rel_tol:.3e}"
         )
-    return achieved
+    return SpectralResult(
+        lambda_min=lmin, lambda_max=lmax, kappa=lmax / lmin,
+        rel_tol_achieved=achieved,
+    )
 
 
 def _sturm_count(d, e2, x):

@@ -16,3 +16,29 @@ def cal2():
 @pytest.fixture(scope="session")
 def cal3():
     return bounds.calibrate_constant(3, diffusion.identity_field(3), 8)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Shapes of the matrices ``spectral`` factors; ARPACK's own ``splu`` raises.
+
+    Every shift-invert solve is meant to hand ARPACK a factorization made
+    in ``spectral``, so ARPACK factoring a matrix itself fails the test.
+    """
+    import importlib
+
+    from meshcond import spectral
+
+    def refused(*args, **kwargs):
+        raise AssertionError("ARPACK factored a matrix itself")
+
+    arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+    monkeypatch.setattr(arpack, "splu", refused)
+    calls = []
+
+    def counted(mat, *args, _real=spectral.spla.splu, **kwargs):
+        calls.append(mat.shape)
+        return _real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "splu", counted)
+    return calls

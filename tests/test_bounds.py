@@ -377,34 +377,44 @@ class TestSharedFactorization:
         field = rotated_anisotropic_field(100.0, 1.0)
         return mesh, field, assemble_stiffness(mesh, field)
 
-    def test_one_splu_per_stiffness_matrix(self, cal2, monkeypatch):
-        import importlib
-
-        mesh, _, _ = self.case()
-        calls = []
-        # spectral's own splu, and the one ARPACK calls when given no inverse
-        arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
-        for module in (spectral.spla, arpack):
-            def counted(mat, *args, _real=module.splu, **kwargs):
-                calls.append(mat.shape)
-                return _real(mat, *args, **kwargs)
-
-            monkeypatch.setattr(module, "splu", counted)
-        rep = condition_bounds(mesh, identity_field(2), cal2)
-        assert calls == [(mesh.n_interior, mesh.n_interior)]
-        assert rep.exact is not None and rep.exact_scaled is not None
-
-    def test_lambda_min_bit_identical_to_direct_eigsh(self):
+    @staticmethod
+    def direct_lambda_min(a):
+        """lambda_min from ``eigsh`` factoring A itself, with spectral's settings."""
         import scipy.sparse.linalg as spla
 
-        mesh, field, a = self.case()
-        cal = calibrate_constant(2, field, 8)
         n = a.shape[0]
         ncv = min(n - 1, 32)
         w, _ = spla.eigsh(a.tocsc(), k=1, sigma=0.0, which="LM", tol=1e-10,
                           maxiter=max(100, 50 * n // ncv), ncv=ncv,
                           v0=np.random.default_rng(0).standard_normal(n))
-        assert condition_bounds(mesh, field, cal, 1e-8).exact.lambda_min == w[0]
+        return w[0]
+
+    def test_one_splu_per_stiffness_matrix(self, cal2, splu_calls):
+        mesh, _, _ = self.case()
+        rep = condition_bounds(mesh, identity_field(2), cal2)
+        assert splu_calls == [(mesh.n_interior, mesh.n_interior)]
+        assert rep.exact is not None and rep.exact_scaled is not None
+
+    def test_one_splu_per_calibration(self, splu_calls):
+        calibrate_constant(2, identity_field(2), 16)
+        assert splu_calls == [(15 ** 2, 15 ** 2)]
+
+    def test_calibration_bit_identical_to_direct_eigsh(self):
+        from meshcond.bounds import _volume_factor
+        from meshcond.diffusion import field_spectral_bounds
+        from meshcond.mesh import element_volumes
+
+        mesh, field = generate_uniform_mesh(2, 16), rotated_anisotropic_field(100.0, 1.0)
+        lmin = self.direct_lambda_min(assemble_stiffness(mesh, field))
+        d_min, _ = field_spectral_bounds(field)
+        raw = d_min / mesh.n_elements / _volume_factor(element_volumes(mesh), 2)
+        assert calibrate_constant(2, field, 16).c == lmin / raw
+
+    def test_lambda_min_bit_identical_to_direct_eigsh(self):
+        mesh, field, a = self.case()
+        cal = calibrate_constant(2, field, 8)
+        lmin = condition_bounds(mesh, field, cal, 1e-8).exact.lambda_min
+        assert lmin == self.direct_lambda_min(a)
 
     def test_scaled_lambda_min_matches_own_factorization(self):
         mesh, field, a = self.case()

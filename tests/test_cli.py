@@ -132,6 +132,16 @@ class TestAnalyze:
         assert row["est_lambda_max_low"] <= row["lambda_max"]
         assert row["lambda_max"] <= row["est_lambda_max_high"]
 
+    def test_one_splu_per_matrix(self, tmp_path, splu_calls):
+        mesh_path = tmp_path / "s.msh"
+        assert run(["generate", "--case", "skew3d", "--n", "8", "--aspect", "4",
+                    "-o", str(mesh_path)]) == 0
+        code = run(["analyze", "--mesh", str(mesh_path),
+                    "--csv", str(tmp_path / "r.csv")])
+        assert code == 0
+        # the calibration (uniform n=8), the stiffness pair and the mass matrix
+        assert splu_calls == [(7 ** 3, 7 ** 3)] * 3
+
     def test_missing_mesh_exits_one(self, tmp_path):
         code = run(["analyze", "--mesh", str(tmp_path / "nope.msh"),
                     "--csv", str(tmp_path / "r.csv")])

@@ -1,28 +1,44 @@
-"""Seeded random checks of the paper's two-sided envelopes.
+"""Seeded random checks of the paper's two-sided envelopes and other theorems.
 
 The envelopes are theorems for arbitrary conforming simplicial meshes:
 lambda_max(A) in [max A_jj, (d+1) max A_jj], lambda_max(S^-1 A S^-1) in
 [1, d+1], kappa(B) in [r, (d+2) r] and kappa(S^-1 B S^-1) <= d+2, the last
 from Wathen's element-wise bound 1/2 <= lambda(S^-1 B S^-1) <= (d+2)/2
-(Wathen 1987), whose lower half also places the pole of the mass solve.  Every
-mesh here is a uniform grid with moved vertices over the same elements, so
-its Dirichlet boundary follows from the elements as for any other mesh.
-Each matrix has at most about 500 unknowns.
+(Wathen 1987), whose lower half also places the pole of the mass solve.  So
+are the geometric bounds lambda_max(A) <= patchwise <= quality form, van
+der Sluis's kappa(S^-1 A S^-1) <= m kappa(D A D) for every positive
+diagonal D (Numer. Math. 14, 1969; m is the most nonzeros in a row of A),
+and in 1D lambda_min(A) >= d_min / sum_j x_j (1 - x_j) >= 4 d_min / (N - 1),
+from u(x)^2 <= x (1 - x) int u'^2 for u(0) = u(1) = 0.  Every mesh here is
+a uniform grid with moved vertices over the same elements, so its
+Dirichlet boundary follows from the elements as for any other mesh.  Each
+matrix has at most about 500 unknowns.
 """
 
 import numpy as np
 import pytest
 
 from meshcond.assembly import (
+    alt_scaling,
     apply_symmetric_scaling,
     assemble_mass,
     assemble_stiffness,
     jacobi_scaling,
 )
-from meshcond.bounds import lambda_max_bounds, mass_condition_bounds, quality_measures
-from meshcond.diffusion import constant_field, identity_field, rotated_anisotropic_field
+from meshcond.bounds import (
+    lambda_max_bounds,
+    lambda_max_geometric_bound,
+    mass_condition_bounds,
+    quality_measures,
+)
+from meshcond.diffusion import (
+    constant_field,
+    field_spectral_bounds,
+    identity_field,
+    rotated_anisotropic_field,
+)
 from meshcond.experiments import outside_envelope
-from meshcond.mesh import SimplicialMesh, generate_uniform_mesh
+from meshcond.mesh import SimplicialMesh, generate_chebyshev_mesh, generate_uniform_mesh
 from meshcond.spectral import extreme_eigenvalues
 
 SEEDS = range(6)
@@ -129,3 +145,60 @@ def test_mass_pole_at_wathen_bound(dim, seed):
     assert shifted.lambda_min == pytest.approx(lmin, rel=1e-10)
     with pytest.raises(ValueError, match="below its proven lower bound"):
         extreme_eigenvalues(mass, lower_bound=lmin * (1.0 + 1e-4))
+
+
+def theorem_failures(mesh, rng):
+    """Every miss of the geometric lambda_max bounds and of van der Sluis's
+    theorem over the random fields."""
+    out = []
+    for field in fields(rng, mesh.dim):
+        a = assemble_stiffness(mesh, field)
+        geo = lambda_max_geometric_bound(mesh, field)
+        out += outside_envelope(f"{field.spec} lambda_max under patchwise",
+                                extreme_eigenvalues(a).lambda_max, (0.0, geo.patchwise))
+        out += outside_envelope(f"{field.spec} patchwise under quality form",
+                                geo.patchwise, (0.0, geo.quality_form))
+        m = int((a != 0).sum(axis=1).max())
+        jacobi = extreme_eigenvalues(apply_symmetric_scaling(a, jacobi_scaling(a))).kappa
+        diagonals = {"alt_scaling": alt_scaling(mesh, field)}
+        for k in range(2):
+            diagonals[f"log-normal {k}"] = rng.lognormal(0.0, 1.0, a.shape[0])
+        for name, s in diagonals.items():
+            other = extreme_eigenvalues(apply_symmetric_scaling(a, s)).kappa
+            out += outside_envelope(f"{field.spec} Jacobi kappa against {name}",
+                                    jacobi, (0.0, m * other))
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("make", [jittered_mesh, graded_mesh],
+                         ids=["jittered", "graded"])
+def test_geometric_bound_and_van_der_sluis_hold(make, dim, seed):
+    rng = np.random.default_rng([seed, dim, make is graded_mesh, 3])
+    mesh = make(rng, dim)
+    assert theorem_failures(mesh, rng) == []
+
+
+def chebyshev_mesh(rng, dim):
+    return generate_chebyshev_mesh(int(rng.integers(*SUBDIVISIONS[1], endpoint=True)))
+
+
+def uniform_mesh(rng, dim):
+    return generate_uniform_mesh(1, int(rng.integers(*SUBDIVISIONS[1], endpoint=True)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("make", [chebyshev_mesh, uniform_mesh, jittered_mesh, graded_mesh],
+                         ids=["chebyshev", "uniform", "jittered", "graded"])
+def test_1d_lambda_min_floor(make, seed):
+    """lambda_min(A) >= d_min / sum_j x_j (1 - x_j) >= 4 d_min / (N - 1) in 1D."""
+    rng = np.random.default_rng([seed, 1, 4])
+    mesh = make(rng, 1)
+    x = mesh.vertices[~mesh.boundary, 0]
+    for field in (identity_field(1), constant_field([[10.0 ** rng.uniform(-2.0, 2.0)]])):
+        d_min, _ = field_spectral_bounds(field)
+        sharp = d_min / float(np.sum(x * (1.0 - x)))
+        assert sharp >= 4.0 * d_min / (mesh.n_elements - 1)
+        lmin = extreme_eigenvalues(assemble_stiffness(mesh, field)).lambda_min
+        assert outside_envelope(f"{field.spec} lambda_min", lmin, (sharp, np.inf)) == []

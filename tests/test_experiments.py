@@ -90,6 +90,45 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=re.escape("tol must be in (0, 1e-4]")):
             run_study(StudyConfig(case="chebyshev", n_values=(32, 64, 128), tol=tol))
 
+    @pytest.mark.parametrize("cfg, message", [
+        (StudyConfig(case="skew2d-aspect", n=16, aspect_values=(0.5, 2.0)),
+         "case skew2d-aspect: aspect must be finite and at least 1, got 0.5"),
+        (StudyConfig(case="skew2d-aspect", n=16, aspect_values=(2.0, float("nan"))),
+         "case skew2d-aspect: aspect must be finite and at least 1, got nan"),
+        (StudyConfig(case="skew3d-aspect", n=3, aspect_values=(2.0, 4.0)),
+         "case skew3d-aspect: n must be at least 4, got 3"),
+        (StudyConfig(case="skew3d-n", n_values=(8, 16), aspect=float("inf")),
+         "case skew3d-n: aspect must be finite and at least 1, got inf"),
+        (StudyConfig(case="skew2d-aspect", n=16, aspect_values=(2.0, 1e300)),
+         "case skew2d-aspect: aspect 1e+300 moves the grid layer across"),
+        (StudyConfig(case="chebyshev", n_values=(2, 8)),
+         "case chebyshev: n must be at least 3, got 2"),
+        (StudyConfig(case="uniform", dim=2, n_values=(1, 4)),
+         "case uniform: n must be at least 2, got 1"),
+    ], ids=["aspect-below-1", "aspect-nan", "skew-n", "aspect-inf", "aspect-huge",
+            "chebyshev-n", "uniform-n"])
+    def test_run_study_rejects_sweep_before_calibrating(self, monkeypatch, cfg, message):
+        import meshcond.experiments as experiments
+
+        def calibrate(*args):
+            raise AssertionError("calibrated before the config was checked")
+
+        monkeypatch.setattr(experiments, "calibrate_constant", calibrate)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_study(cfg)
+
+    @pytest.mark.parametrize("lines, message", [
+        ("case = skew2d-aspect\nn = 16\naspect_values = 0.5, 2\n", "got 0.5"),
+        ("case = skew3d-aspect\nn = 3\naspect_values = 2, 4\n", "got 3"),
+        ("case = chebyshev\nn_values = 2, 8\n", "got 2"),
+        ("case = skew2d-aspect\nn = 16\naspect_values = 2, nan\n", "got nan"),
+    ], ids=["aspect-below-1", "skew-n", "chebyshev-n", "aspect-nan"])
+    def test_bad_sweep_value_names_file(self, tmp_path, lines, message):
+        path = tmp_path / "study.cfg"
+        path.write_text(lines)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: case .*{message}$"):
+            parse_study_config(path)
+
     def test_comment_anywhere_on_a_line(self, tmp_path):
         path = tmp_path / "study.cfg"
         path.write_text("case = chebyshev   # 1D\nn_values = 64, 128, 256#sizes\n"

@@ -21,7 +21,6 @@ from meshcond.spectral import (
     cg_iteration_count,
     dense_eigenvalues_oracle,
     extreme_eigenvalues,
-    smallest_eigenvalue,
 )
 
 
@@ -144,7 +143,7 @@ class TestLowerBound:
     """A proven lower bound on lambda_min moves the shift-invert pole up to it."""
 
     @pytest.mark.parametrize("case", ["skew2d", "uniform2d", "chebyshev", "dense"])
-    def test_shifted_solve_agrees(self, monkeypatch, case):
+    def test_shifted_solve_agrees(self, monkeypatch, splu_calls, case):
         mass = assemble_mass(MASS_MESHES[case]())
         bound = _wathen_bound(mass)
         direct = extreme_eigenvalues(mass, 1e-8)
@@ -163,6 +162,8 @@ class TestLowerBound:
         if mass.shape[0] > 64:
             sigma = [p for p in poles if p is not None]
             assert len(sigma) == 1 and 0.99 * bound < sigma[0] < bound
+        # one LU per solve, each made by spectral, none by ARPACK
+        assert splu_calls == ([mass.shape] * 2 if mass.shape[0] > 64 else [])
 
     @pytest.mark.parametrize("case", ["skew2d", "chebyshev", "dense"])
     def test_bound_above_lambda_min_raises(self, case):
@@ -175,32 +176,6 @@ class TestLowerBound:
     def test_rejects_bad_bound(self, bound):
         with pytest.raises(ValueError, match="lower_bound"):
             extreme_eigenvalues(sp.identity(4, format="csr"), 1e-8, lower_bound=bound)
-
-
-class TestSmallestEigenvalue:
-    @pytest.mark.parametrize("build", [
-        lambda: assemble_stiffness(generate_skew_mesh_2d(16, 8.0), identity_field(2)),
-        lambda: assemble_stiffness(generate_chebyshev_mesh(512), identity_field(1)),
-        lambda: assemble_stiffness(generate_uniform_mesh(2, 6), identity_field(2)),
-    ], ids=["lanczos", "tridiagonal", "dense"])
-    def test_bit_identical_to_extreme_eigenvalues(self, monkeypatch, build):
-        a = build()
-        want = extreme_eigenvalues(a, 1e-8).lambda_min
-        which = []
-        real = spectral.spla.eigsh
-
-        def recorded(*args, **kwargs):
-            which.append(kwargs.get("which"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(spectral.spla, "eigsh", recorded)
-        assert smallest_eigenvalue(a, 1e-8) == want
-        assert which == (["LM"] if a.shape[0] > 64 else [])
-
-    def test_measures_its_residual(self):
-        a = assemble_stiffness(generate_uniform_mesh(2, 6), identity_field(2))
-        with pytest.raises(ConvergenceError, match="residual"):
-            smallest_eigenvalue(a, 1e-18)
 
 
 def _cheb_1024():
