@@ -8,12 +8,20 @@ since (S^-1 A S^-1)^-1 = S A^-1 S; a proven lower bound on the smallest
 eigenvalue (Wathen's min_j B_jj / 2 for a mass matrix) moves the pole up
 to it.  The largest eigenvalue comes from Lanczos iteration, or, for a
 tridiagonal matrix (every 1D matrix), from LAPACK bisection plus inverse
-iteration.  Small orders use LAPACK's dense eigensolver for both.  The
-dense oracle is an independent in-repo solver for the same two extremes,
-used to verify the production path at desk scale: LAPACK's Hessenberg
-reduction (not an eigensolver) brings the matrix to tridiagonal form, and
-in-repo Sturm-sequence bisection plus inverse iteration decide each
-eigenvalue.
+iteration.  Each Lanczos solve has its own ARPACK settings.  On A itself,
+ARPACK stops on the relative residual ||A v - theta v|| / theta that the
+result check measures, so the lambda_max solve asks for a tenth of the
+tolerance, with a 20-vector basis that keeps each restart cheap and a start
+vector peaked where the paper's patchwise bound lambda_max(A) <= (d+1)
+max_j A_jj puts the top of the spectrum: at the largest diagonal entry.
+The shift-invert stop test loosens by up to kappa(A) on the way back to A,
+so the lambda_min solve asks for a hundredth, and a pair that still misses
+the tolerance gets up to two inverse-iteration steps.  Small orders use
+LAPACK's dense eigensolver for both.  The dense oracle is an independent
+in-repo solver for the same two extremes, used to verify the production
+path at desk scale: LAPACK's Hessenberg reduction (not an eigensolver)
+brings the matrix to tridiagonal form, and in-repo Sturm-sequence
+bisection plus inverse iteration decide each eigenvalue.
 """
 
 from __future__ import annotations
@@ -45,6 +53,12 @@ _ORACLE_MAX_ORDER = 4000
 # lambda_min: A - sigma I stays well conditioned even when lambda_min sits on
 # the bound, and the pole is still close enough for most of the speed-up
 _POLE_GAP = 1e-3
+# ARPACK's Lanczos basis size and tolerance, as a factor of rel_tol, for the
+# lambda_max solve on A and for the shift-invert lambda_min solve
+_LA_NCV, _LA_TOL_FACTOR = 20, 0.1
+_LM_NCV, _LM_TOL_FACTOR = 32, 1e-2
+# inverse-iteration steps allowed on a lambda_min pair that misses rel_tol
+_POLISH_STEPS = 2
 
 
 class ConvergenceError(RuntimeError):
@@ -83,9 +97,11 @@ def extreme_eigenvalues(mat, rel_tol=1e-8, lower_bound=0.0, inverse=None):
     eigenpair directly.  Bisection is not used for lambda_min: ``stebz``
     gives eigenvalues to an absolute accuracy of O(eps * ||A||), which at
     the small end of an ill-conditioned spectrum (a graded 1D mesh) is
-    too poor a relative accuracy for the residual check.  Matrices of
-    order at most 64 use LAPACK's dense ``eigh``.  Either way
-    ``rel_tol_achieved`` is the measured eigenpair residual.
+    too poor a relative accuracy for the residual check.  A lambda_min pair
+    whose residual misses ``rel_tol`` gets up to two inverse-iteration
+    steps with the solve in hand.  Matrices of order at most 64 use
+    LAPACK's dense ``eigh``.  Either way ``rel_tol_achieved`` is the
+    measured eigenpair residual.
 
     Parameters
     ----------
@@ -118,6 +134,8 @@ def extreme_eigenvalues(mat, rel_tol=1e-8, lower_bound=0.0, inverse=None):
     if n <= _DENSE_CUTOFF:
         w, v = _dense_eigh(a)
         return _checked_result(a, (w[0], v[:, 0]), (w[-1], v[:, -1]), rel_tol, lower_bound)
+    # seeded, so that a result does not depend on which other solves run
+    start = np.random.default_rng(0).standard_normal(n)
     if _is_tridiagonal(a):
         with _lapack("eigh_tridiagonal"):
             wmax, vmax = scipy.linalg.eigh_tridiagonal(
@@ -125,12 +143,16 @@ def extreme_eigenvalues(mat, rel_tol=1e-8, lower_bound=0.0, inverse=None):
             )
         largest = wmax[0], vmax[:, 0]
     else:
-        largest = _lanczos(a, rel_tol, which="LA")
+        v0 = 1e-3 * start
+        v0[np.argmax(a.diagonal())] += 1.0
+        largest = _lanczos(a, v0, _LA_NCV, rel_tol * _LA_TOL_FACTOR, which="LA")
     sigma = 0.0 if inverse is not None else lower_bound * (1.0 - _POLE_GAP)
     # factored after the lambda_max solve has released its Lanczos basis
-    opinv = spla.LinearOperator(a.shape, matvec=inverse or _shifted_inverse(a, sigma),
-                                dtype=float)
-    smallest = _lanczos(a, rel_tol, sigma=sigma, which="LM", OPinv=opinv)
+    solve = inverse or _shifted_inverse(a, sigma)
+    opinv = spla.LinearOperator(a.shape, matvec=solve, dtype=float)
+    smallest = _lanczos(a, start, _LM_NCV, rel_tol * _LM_TOL_FACTOR,
+                        sigma=sigma, which="LM", OPinv=opinv)
+    smallest = _polished(a, smallest, solve, rel_tol)
     return _checked_result(a, smallest, largest, rel_tol, lower_bound)
 
 
@@ -158,24 +180,44 @@ def _shifted_inverse(a, sigma):
     return spla.splu(a.tocsc()).solve
 
 
-def _lanczos(a, rel_tol, **kwargs):
-    """One eigenpair from ``eigsh`` with the settings every solve shares.
+def _lanczos_maxiter(n, ncv):
+    """ARPACK's cap on implicit restarts for a basis of ``ncv`` vectors."""
+    return max(100, 50 * n // ncv)
 
-    Each solve starts from the same vector, so its result does not depend
-    on which other solves run beside it.
-    """
+
+def _lanczos(a, v0, ncv, tol, **kwargs):
+    """One eigenpair from ``eigsh`` with a basis of at most ``ncv`` vectors."""
     n = a.shape[0]
-    ncv = min(n - 1, 32)
-    maxiter = max(100, 50 * n // ncv)
-    v0 = np.random.default_rng(0).standard_normal(n)
+    ncv = min(n - 1, ncv)
+    maxiter = _lanczos_maxiter(n, ncv)
     try:
-        w, v = spla.eigsh(a, k=1, tol=rel_tol * 1e-2, maxiter=maxiter, ncv=ncv,
-                          v0=v0, **kwargs)
+        w, v = spla.eigsh(a, k=1, tol=tol, maxiter=maxiter, ncv=ncv, v0=v0, **kwargs)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"Lanczos did not converge within {maxiter} iterations: {exc}"
         ) from exc
     return w[0], v[:, 0]
+
+
+def _polished(a, pair, solve, rel_tol):
+    """A lambda_min pair, sharpened by inverse iteration if it misses rel_tol.
+
+    Each step applies ``solve`` (the shift-invert solve of the Lanczos
+    run) to the vector and takes the Rayleigh quotient.  A pair that meets
+    ``rel_tol`` is returned as it is, bit for bit.
+    """
+    lam, vec = pair
+    for _ in range(_POLISH_STEPS):
+        if lam <= 0.0 or _relative_residual(a, lam, vec) <= rel_tol:
+            break
+        vec = solve(vec)
+        vec /= np.linalg.norm(vec)
+        lam = vec @ (a @ vec)
+    return lam, vec
+
+
+def _relative_residual(a, lam, vec):
+    return float(np.linalg.norm(a @ vec - lam * vec) / lam)
 
 
 def _dense_eigh(a):
@@ -213,8 +255,8 @@ def _checked_result(a, smallest, largest, rel_tol, lower_bound):
     if lmin < lower_bound:
         raise ValueError(f"lambda_min {lmin!r} is below its proven lower bound "
                          f"{lower_bound!r}, so the bound is wrong")
-    achieved = max(float(np.linalg.norm(a @ vec - lam * vec) / lam)
-                   for lam, vec in ((lmax, largest[1]), (lmin, smallest[1])))
+    achieved = max(_relative_residual(a, lmax, largest[1]),
+                   _relative_residual(a, lmin, smallest[1]))
     if achieved > rel_tol:
         raise ConvergenceError(
             f"residual {achieved:.3e} above requested tolerance {rel_tol:.3e}"

@@ -165,6 +165,7 @@ class TestAltScaling:
 
     @pytest.mark.parametrize("name,make_mesh,make_field", MESH_FIELD_CASES)
     def test_dominates_jacobi(self, name, make_mesh, make_field):
+        # holds on these meshes, not on every mesh (see alt_scaling)
         mesh, field = make_mesh(), make_field()
         alt = alt_scaling(mesh, field)
         jac = jacobi_scaling(assemble_stiffness(mesh, field))

@@ -383,9 +383,10 @@ class TestSharedFactorization:
         import scipy.sparse.linalg as spla
 
         n = a.shape[0]
-        ncv = min(n - 1, 32)
-        w, _ = spla.eigsh(a.tocsc(), k=1, sigma=0.0, which="LM", tol=1e-10,
-                          maxiter=max(100, 50 * n // ncv), ncv=ncv,
+        ncv = min(n - 1, spectral._LM_NCV)
+        w, _ = spla.eigsh(a.tocsc(), k=1, sigma=0.0, which="LM",
+                          tol=1e-8 * spectral._LM_TOL_FACTOR,
+                          maxiter=spectral._lanczos_maxiter(n, ncv), ncv=ncv,
                           v0=np.random.default_rng(0).standard_normal(n))
         return w[0]
 

@@ -9,7 +9,8 @@ are the geometric bounds lambda_max(A) <= patchwise <= quality form, van
 der Sluis's kappa(S^-1 A S^-1) <= m kappa(D A D) for every positive
 diagonal D (Numer. Math. 14, 1969; m is the most nonzeros in a row of A),
 and in 1D lambda_min(A) >= d_min / sum_j x_j (1 - x_j) >= 4 d_min / (N - 1),
-from u(x)^2 <= x (1 - x) int u'^2 for u(0) = u(1) = 0.  Every mesh here is
+from u(x)^2 <= x (1 - x) int u'^2 for u(0) = u(1) = 0, where alt_scaling
+also equals the Jacobi scaling of A.  Every mesh here is
 a uniform grid with moved vertices over the same elements, so its
 Dirichlet boundary follows from the elements as for any other mesh.  Each
 matrix has at most about 500 unknowns.
@@ -202,3 +203,27 @@ def test_1d_lambda_min_floor(make, seed):
         assert sharp >= 4.0 * d_min / (mesh.n_elements - 1)
         lmin = extreme_eigenvalues(assemble_stiffness(mesh, field)).lambda_min
         assert outside_envelope(f"{field.spec} lambda_min", lmin, (sharp, np.inf)) == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("make", [jittered_mesh, graded_mesh],
+                         ids=["jittered", "graded"])
+def test_1d_alt_scaling_is_jacobi(make, seed):
+    rng = np.random.default_rng([seed, 1, make is graded_mesh, 5])
+    mesh = make(rng, 1)
+    for field in fields(rng, 1):
+        jacobi = jacobi_scaling(assemble_stiffness(mesh, field))
+        assert alt_scaling(mesh, field) == pytest.approx(jacobi, rel=1e-12), field.spec
+
+
+def test_graded_1d_lambda_min_at_tight_tolerance():
+    """A lambda_min pair that shift-invert Lanczos leaves above rel_tol is
+    sharpened, not refused: the order-342 graded mesh with kappa about 1.9e7
+    had a residual of 1.9e-10 at rel_tol 1e-10."""
+    a = assemble_stiffness(graded_mesh(np.random.default_rng(0), 1), identity_field(1))
+    assert a.shape == (342, 342)
+    eigs = np.linalg.eigvalsh(a.toarray())
+    result = extreme_eigenvalues(a, 1e-10)
+    assert result.rel_tol_achieved <= 1e-10
+    assert result.lambda_min == pytest.approx(eigs[0], rel=1e-9)
+    assert result.lambda_max == pytest.approx(eigs[-1], rel=1e-10)

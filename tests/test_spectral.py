@@ -178,6 +178,88 @@ class TestLowerBound:
             extreme_eigenvalues(sp.identity(4, format="csr"), 1e-8, lower_bound=bound)
 
 
+class TestArpackSettings:
+    """The lambda_max and lambda_min Lanczos solves have their own settings."""
+
+    @staticmethod
+    def _eigsh_kwargs(monkeypatch):
+        calls = {}
+        real = spectral.spla.eigsh
+
+        def recorded(*args, **kwargs):
+            calls[kwargs["which"]] = kwargs
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.spla, "eigsh", recorded)
+        return calls
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+    def test_each_solve_gets_its_settings(self, monkeypatch, rel_tol, scaled):
+        a = assemble_stiffness(generate_skew_mesh_2d(16, 8.0),
+                               rotated_anisotropic_field(100.0, 1.0))
+        mat = _scaled(a) if scaled else a
+        n = mat.shape[0]
+        calls = self._eigsh_kwargs(monkeypatch)
+        extreme_eigenvalues(mat, rel_tol)
+        top, bottom = calls["LA"], calls["LM"]
+        assert top["ncv"] == spectral._LA_NCV == 20
+        assert top["tol"] == rel_tol * spectral._LA_TOL_FACTOR
+        assert top["tol"] == pytest.approx(rel_tol / 10, rel=1e-15)
+        assert top["maxiter"] == spectral._lanczos_maxiter(n, 20)
+        peak = int(np.argmax(mat.diagonal()))
+        v0 = top["v0"]
+        assert np.argmax(np.abs(v0)) == peak
+        assert v0[peak] == pytest.approx(1.0, abs=1e-2)
+        assert np.linalg.norm(np.delete(v0, peak)) < 0.1
+        assert spectral._LM_NCV == 32 and bottom["ncv"] == min(n - 1, 32)
+        assert bottom["tol"] == rel_tol * 1e-2 == rel_tol * spectral._LM_TOL_FACTOR
+        assert bottom["maxiter"] == max(100, 50 * n // 32)
+        assert bottom["sigma"] == 0.0
+        assert np.array_equal(bottom["v0"], np.random.default_rng(0).standard_normal(n))
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+    def test_high_aspect_matches_dense(self, rel_tol, scaled):
+        # the benchmark's aspect and field on a mesh a dense solver can take
+        a = assemble_stiffness(generate_skew_mesh_2d(32, 128.0),
+                               rotated_anisotropic_field(1000.0, 1.0))
+        mat = _scaled(a) if scaled else a
+        assert mat.shape[0] == 961
+        eigs = scipy.linalg.eigvalsh(mat.toarray())
+        result = extreme_eigenvalues(mat, rel_tol)
+        assert result.lambda_max == pytest.approx(eigs[-1], rel=1e-8)
+        assert result.lambda_min == pytest.approx(eigs[0], rel=1e-8)
+        assert 0.0 < result.rel_tol_achieved <= rel_tol
+
+
+class TestPolished:
+    """Inverse iteration on a lambda_min pair only when it misses rel_tol."""
+
+    @staticmethod
+    def _case():
+        a = sp.diags([1.0, 10.0, 50.0, 90.0]).tocsr()
+        return a, spectral._shifted_inverse(a, 0.0)
+
+    def test_passing_pair_is_returned_as_it_is(self):
+        a, solve = self._case()
+        vec = np.array([1.0, 1e-12, 0.0, 0.0])
+        pair = (1.0, vec)
+        lam, out = spectral._polished(a, pair, solve, 1e-8)
+        assert lam == 1.0 and out is vec
+
+    def test_missing_pair_is_sharpened(self):
+        a, solve = self._case()
+        vec = np.array([1.0, 1e-4, 1e-4, 1e-4])
+        vec /= np.linalg.norm(vec)
+        lam = float(vec @ (a @ vec))
+        before = spectral._relative_residual(a, lam, vec)
+        lam2, vec2 = spectral._polished(a, (lam, vec), solve, 1e-8)
+        after = spectral._relative_residual(a, lam2, vec2)
+        assert before > 1e-8 and after < before / 50
+        assert lam2 == pytest.approx(1.0, rel=1e-8)
+
+
 def _cheb_1024():
     return assemble_stiffness(generate_chebyshev_mesh(1024), identity_field(1))
 
