@@ -8,13 +8,12 @@ positive entries, one per interior vertex.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy.sparse as sp
 
-from .diffusion import element_averages, mapped_metric_tensors, spd_norm2
-from .mesh import element_edge_matrices, element_volumes, patch_sums
+from .diffusion import _ElementGeometry
+from .diffusion import element_averages  # unused here; perfbench/tracing.py patches this name
+from .mesh import element_volumes, patch_sums
 
 __all__ = [
     "assemble_stiffness",
@@ -23,21 +22,6 @@ __all__ = [
     "alt_scaling",
     "apply_symmetric_scaling",
 ]
-
-
-def _element_data(mesh):
-    """Volumes and basis gradients for all elements.
-
-    Gradients come from the inverse transpose of the vertex-difference matrix.
-    """
-    d = mesh.dim
-    edges = element_edge_matrices(mesh)
-    vols = np.linalg.det(edges) / math.factorial(d)
-    inv = np.linalg.inv(edges)
-    grads = np.empty((mesh.n_elements, d + 1, d))
-    grads[:, 1:, :] = inv.transpose(0, 2, 1)
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return vols, grads
 
 
 def _scatter(mesh, local):
@@ -67,10 +51,13 @@ def assemble_stiffness(mesh, field):
     -------
     scipy.sparse.csr_matrix of order ``mesh.n_interior``, SPD.
     """
-    vols, grads = _element_data(mesh)
-    dk = element_averages(field, mesh)
-    local = np.einsum("eia,eab,ejb->eij", grads, dk, grads)
-    local = 0.5 * (local + local.transpose(0, 2, 1)) * vols[:, None, None]
+    return _stiffness(mesh, _ElementGeometry(mesh, field))
+
+
+def _stiffness(mesh, geom):
+    """Stiffness matrix of ``mesh`` from its element geometry record."""
+    local = np.einsum("eia,eab,ejb->eij", geom.grads, geom.dk, geom.grads)
+    local = 0.5 * (local + local.transpose(0, 2, 1)) * geom.vols[:, None, None]
     return _scatter(mesh, local)
 
 
@@ -104,9 +91,8 @@ def alt_scaling(mesh, field):
     in anisotropic fields, s_j^2 fell below A_jj, and A_jj rose to 2.36
     times reference_gradient_bound(d) s_j^2.
     """
-    vols = element_volumes(mesh)
-    norms = spd_norm2(mapped_metric_tensors(mesh, field))
-    return np.sqrt(patch_sums(mesh, vols * norms))
+    geom = _ElementGeometry(mesh, field)
+    return np.sqrt(patch_sums(mesh, geom.vols * geom.mk_norm))
 
 
 def apply_symmetric_scaling(mat, scaling):

@@ -11,24 +11,25 @@ calibration of the single generic constant on uniform reference meshes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .assembly import (
+    _stiffness,
     apply_symmetric_scaling,
     assemble_mass,  # unused here; perfbench/tracing.py patches this name
-    assemble_stiffness,
+    assemble_stiffness,  # unused here; perfbench/tracing.py patches this name
     jacobi_scaling,
 )
 from .diffusion import (
-    element_averages,
+    _ElementGeometry,
+    element_averages,  # unused here; perfbench/tracing.py patches this name
     field_spectral_bounds,
-    mapped_metric_tensors,
+    mapped_metric_tensors,  # unused here; perfbench/tracing.py patches this name
     spd_norm2,
 )
 from .mesh import (
-    element_volumes,
     generate_uniform_mesh,
     mesh_statistics,
     patch_sums,
@@ -131,34 +132,6 @@ class ConditionBoundReport:
     factor_volume: float
 
 
-@dataclass(frozen=True)
-class _ElementData:
-    """Per-element inputs of every estimate for one (mesh, field) pair.
-
-    ``vols`` holds |K|, ``dk`` the averages D_K, ``mk`` the tensors
-    M_K = (F'_K)^{-T} D_K (F'_K)^{-1} and ``mk_norm`` their spectral norms.
-    """
-
-    vols: np.ndarray
-    dk: np.ndarray
-    mk: np.ndarray
-    mk_norm: np.ndarray
-
-    @classmethod
-    def of(cls, mesh, field):
-        mk = mapped_metric_tensors(mesh, field)
-        return cls(vols=element_volumes(mesh), dk=element_averages(field, mesh),
-                   mk=mk, mk_norm=spd_norm2(mk))
-
-    @property
-    def dim(self):
-        return self.mk.shape[-1]
-
-    @property
-    def n_elements(self):
-        return len(self.vols)
-
-
 def _patch_max(mesh, weights):
     """max over interior vertices j of sum_{K in omega_j} weights[K]."""
     return float(patch_sums(mesh, weights).max())
@@ -208,7 +181,7 @@ def quality_measures(mesh, field):
     element is aligned), and q_eq(K) is the ratio of the average metric
     element volume sigma_h / N to |K| det(D_K)^{-1/2}.
     """
-    return _quality_measures(_ElementData.of(mesh, field))
+    return _quality_measures(_ElementGeometry(mesh, field))
 
 
 def _quality_measures(geom):
@@ -236,7 +209,7 @@ def lambda_max_geometric_bound(mesh, field):
     and is never smaller.
     """
     d = mesh.dim
-    geom = _ElementData.of(mesh, field)
+    geom = _ElementGeometry(mesh, field)
     vols = geom.vols
     qm = _quality_measures(geom)
     c_phi = reference_gradient_bound(d)
@@ -301,7 +274,7 @@ def lambda_min_bound(mesh, field, cal, scaled=False):
     """
     check_calibration(cal, mesh.dim, field)
     d_min, _ = field_spectral_bounds(field)
-    return _lambda_min_bound(_ElementData.of(mesh, field), d_min, cal, scaled)
+    return _lambda_min_bound(_ElementGeometry(mesh, field), d_min, cal, scaled)
 
 
 def _lambda_min_bound(geom, d_min, cal, scaled):
@@ -323,19 +296,6 @@ def _eigenvalues_or_none(mat, rel_tol, inverse):
         return None
 
 
-def _stiffness_eigenvalues(a, rel_tol):
-    """Extreme eigenvalues of A and of S^-1 A S^-1, each None if its solve fails.
-
-    Both lambda_min solves share one sparse LU of A.  It is released on
-    return, before the estimates allocate their per-element arrays, so the
-    peak memory stays that of one factorization.
-    """
-    s = jacobi_scaling(a)
-    inverse, inverse_scaled = shared_inverses(a, s)
-    return (_eigenvalues_or_none(a, rel_tol, inverse),
-            _eigenvalues_or_none(apply_symmetric_scaling(a, s), rel_tol, inverse_scaled))
-
-
 def condition_bounds(mesh, field, cal, rel_tol=1e-8):
     """Exact extreme eigenvalues next to every estimate for one mesh and field.
 
@@ -347,18 +307,17 @@ def condition_bounds(mesh, field, cal, rel_tol=1e-8):
     d = mesh.dim
     n = mesh.n_elements
     check_calibration(cal, d, field)
-    a = assemble_stiffness(mesh, field)
-    exact, exact_scaled = _stiffness_eigenvalues(a, rel_tol)
+    geom = _ElementGeometry(mesh, field)
+    a = _stiffness(mesh, geom)
     lmax = lambda_max_bounds(a.diagonal(), d)
-    geom = _ElementData.of(mesh, field)
     d_min, _ = field_spectral_bounds(field)
     lmin = _lambda_min_bound(geom, d_min, cal, scaled=False)
     lmin_scaled = _lambda_min_bound(geom, d_min, cal, scaled=True)
-    return ConditionBoundReport(
+    report = ConditionBoundReport(
         dim=d,
         n_elements=n,
-        exact=exact,
-        exact_scaled=exact_scaled,
+        exact=None,
+        exact_scaled=None,
         est_lambda_max=lmax.unscaled,
         est_lambda_max_scaled=lmax.scaled,
         est_lambda_min=lmin,
@@ -370,6 +329,13 @@ def condition_bounds(mesh, field, cal, rel_tol=1e-8):
         factor_d_nonuniformity_scaled=_d_factor_scaled(geom, d_min),
         factor_volume=_volume_factor(geom.vols, d),
     )
+    del geom  # only scalars stay alive next to the LU of A
+    # both lambda_min solves share one sparse LU of A; a failed solve gives None
+    s = jacobi_scaling(a)
+    inverse, inverse_scaled = shared_inverses(a, s)
+    return replace(report, exact=_eigenvalues_or_none(a, rel_tol, inverse),
+                   exact_scaled=_eigenvalues_or_none(apply_symmetric_scaling(a, s),
+                                                     rel_tol, inverse_scaled))
 
 
 def m_uniform_bound(mesh, field, metric, cal):
@@ -378,23 +344,40 @@ def m_uniform_bound(mesh, field, metric, cal):
     ``metric`` holds one SPD matrix M_K per element, shape (ne, d, d).  The
     bound is (c / d_min) (N / sigma_{h,M})^(2/d)
     (sum_K |K| ||M_K D_K||_2^(d/2))^(2/d), where sigma_{h,M} uses the
-    metric volumes |K| det(M_K)^(1/2).
+    metric volumes |K| det(M_K)^(1/2).  Raises ValueError naming the first
+    element whose M_K is not finite, symmetric and positive definite.
     """
     check_calibration(cal, mesh.dim, field)
     d = mesh.dim
     metric = np.asarray(metric, dtype=float)
     if metric.shape != (mesh.n_elements, d, d):
         raise ValueError(f"metric must have shape (ne, d, d), got {metric.shape}")
-    vols = element_volumes(mesh)
+    _check_metric(metric)
+    geom = _ElementGeometry(mesh, field)
+    vols = geom.vols
     sigma_hm = float(np.sum(vols * np.sqrt(np.linalg.det(metric))))
-    dk = element_averages(field, mesh)
-    prod = metric @ dk
+    prod = metric @ geom.dk
     # operator norm of the (nonsymmetric) product via its Gram matrix
     norms = np.sqrt(spd_norm2(prod.transpose(0, 2, 1) @ prod))
     term = float(np.sum(vols * norms ** (d / 2.0)) ** (2.0 / d))
     d_min, _ = field_spectral_bounds(field)
     n = mesh.n_elements
     return cal.c / d_min * (n / sigma_hm) ** (2.0 / d) * term
+
+
+def _check_metric(metric):
+    """Raise ValueError naming the first element whose metric is not SPD."""
+    finite = np.isfinite(metric).all(axis=(1, 2))
+    symmetric, spd = finite.copy(), np.zeros_like(finite)
+    m = metric[finite]  # symmetric to 1e-14 relative, as a constant field
+    symmetric[finite] = (np.abs(m - m.transpose(0, 2, 1)).max(axis=(1, 2))
+                         <= 1e-14 * np.abs(m).max(axis=(1, 2)))
+    spd[symmetric] = np.linalg.eigvalsh(metric[symmetric])[:, 0] > 0.0
+    if not spd.all():
+        k = int(np.argmin(spd))
+        cause = ("not finite" if not finite[k] else
+                 "not symmetric" if not symmetric[k] else "not positive definite")
+        raise ValueError(f"metric of element {k} is {cause}")
 
 
 def check_calibration(cal, dim, field):
@@ -428,10 +411,10 @@ def calibrate_constant(dim, field, n_ref, rel_tol=1e-8):
         raise ValueError(
             f"reference mesh n={n_ref} has only {mesh.n_interior} interior vertices"
         )
-    a = assemble_stiffness(mesh, field)
-    lmin = extreme_eigenvalues(a, rel_tol).lambda_min
+    geom = _ElementGeometry(mesh, field)
     d_min, _ = field_spectral_bounds(field)
-    raw = d_min / mesh.n_elements / _volume_factor(element_volumes(mesh), dim)
+    raw = d_min / mesh.n_elements / _volume_factor(geom.vols, dim)
+    lmin = extreme_eigenvalues(_stiffness(mesh, geom), rel_tol).lambda_min
     return CalibrationConstant(
         c=lmin / raw,
         dim=dim,

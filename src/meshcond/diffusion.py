@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -212,12 +213,41 @@ def mapped_metric_tensors(mesh, field):
     F'_K is the Jacobian of the affine map from the regular unit-volume
     reference simplex onto the element.
     """
-    d = mesh.dim
-    ref = reference_simplex(d)
-    ref_cols = (ref[1:] - ref[0]).T  # columns of the reference edge matrix
-    edge_rows = element_edge_matrices(mesh)  # (ne, d, d), rows are edges
-    # F' = E_cols @ inv(ref_cols) with E_cols = edge_rows^T per element
-    finv = np.einsum("ab,ebc->eac", ref_cols, np.linalg.inv(edge_rows.transpose(0, 2, 1)))
-    dk = element_averages(field, mesh)
-    m = np.einsum("eba,ebc,ecd->ead", finv, dk, finv)
-    return 0.5 * (m + m.transpose(0, 2, 1))
+    return _ElementGeometry(mesh, field).mk
+
+
+class _ElementGeometry:
+    """Per-element data of one (mesh, field) pair, each array computed once.
+
+    ``vols`` holds |K|, ``grads`` the (ne, d+1, d) basis gradients and ``dk``
+    the averages D_K.  ``mk`` holds M_K = (F'_K)^{-T} D_K (F'_K)^{-1} and
+    ``mk_norm`` their spectral norms, computed on first use, after the
+    stiffness assembly.  The stiffness diagonal is bounded by the transposed
+    (F'_K)^{-1} D_K (F'_K)^{-T} instead; they differ for an anisotropic
+    field (ROADMAP.md, item 3).
+    """
+
+    def __init__(self, mesh, field):
+        d = self.dim = mesh.dim
+        self.n_elements = mesh.n_elements
+        edges = element_edge_matrices(mesh)  # (ne, d, d), rows are edges
+        # F'^-1 = ref_cols @ inv(E^T) with the reference edges as columns;
+        # inv(E^T) differs from inv(E)^T in the last bits, and the recorded
+        # references were computed with both
+        ref = reference_simplex(d)
+        self._finv = np.einsum("ab,ebc->eac", (ref[1:] - ref[0]).T,
+                               np.linalg.inv(edges.transpose(0, 2, 1)))
+        self.vols = np.linalg.det(edges) / math.factorial(d)
+        self.grads = np.empty((mesh.n_elements, d + 1, d))
+        self.grads[:, 1:, :] = np.linalg.inv(edges).transpose(0, 2, 1)
+        self.grads[:, 0, :] = -self.grads[:, 1:, :].sum(axis=1)
+        self.dk = element_averages(field, mesh)
+
+    @cached_property
+    def mk(self):
+        m = np.einsum("eba,ebc,ecd->ead", self._finv, self.dk, self._finv)
+        return 0.5 * (m + m.transpose(0, 2, 1))
+
+    @cached_property
+    def mk_norm(self):
+        return spd_norm2(self.mk)

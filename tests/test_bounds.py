@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from meshcond.assembly import (
+    alt_scaling,
     apply_symmetric_scaling,
     assemble_mass,
     assemble_stiffness,
     jacobi_scaling,
 )
 from meshcond.bounds import (
+    CalibrationConstant,
     auto_reference_subdivisions,
     calibrate_constant,
     condition_bounds,
@@ -21,6 +25,7 @@ from meshcond.bounds import (
 from meshcond.diffusion import (
     element_averages,
     identity_field,
+    parse_field_spec,
     rotated_anisotropic_field,
 )
 from meshcond.experiments import fit_loglog_slope, load_calibration, save_calibration
@@ -470,3 +475,165 @@ class TestMUniformBound:
         assert prod == pytest.approx(
             np.broadcast_to(np.eye(2), prod.shape), abs=1e-12
         )
+
+    @pytest.mark.parametrize("bad, cause", [
+        (np.diag([1.0, -1.0]), "not positive definite"),
+        (np.full((2, 2), np.nan), "not finite"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "not symmetric"),
+    ])
+    def test_bad_metric_everywhere_rejected(self, cal2, bad, cause):
+        mesh = generate_uniform_mesh(2, 8)
+        metric = np.broadcast_to(bad, (mesh.n_elements, 2, 2))
+        with pytest.raises(ValueError, match=f"element 0 is {cause}"):
+            m_uniform_bound(mesh, identity_field(2), metric, cal2)
+
+    @pytest.mark.parametrize("bad, cause", [
+        (np.diag([1.0, 0.0]), "not positive definite"),
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), "not finite"),
+        (np.array([[1.0, 0.5], [0.5 + 1e-9, 1.0]]), "not symmetric"),
+    ])
+    def test_first_bad_element_named(self, cal2, bad, cause):
+        mesh = generate_uniform_mesh(2, 8)
+        metric = np.tile(np.eye(2), (mesh.n_elements, 1, 1))
+        metric[17] = bad
+        metric[40] = np.full((2, 2), np.nan)
+        with pytest.raises(ValueError, match=f"element 17 is {cause}"):
+            m_uniform_bound(mesh, identity_field(2), metric, cal2)
+
+
+def _pinned_cal(mesh, field):
+    """A fixed constant, so that every estimate depends on the geometry only."""
+    return CalibrationConstant(c=2.5, dim=mesh.dim, n_ref=0, field=field.spec,
+                               provenance="pinned")
+
+
+class TestOneGeometryPass:
+    """Each estimate derives the per-element geometry once per (mesh, field)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import collections
+
+        import meshcond.assembly as assembly_mod
+        import meshcond.bounds as bounds_mod
+        import meshcond.diffusion as diffusion_mod
+        import meshcond.mesh as mesh_mod
+
+        counts = collections.Counter()
+
+        def counting(label, real):
+            def counted(*args, **kwargs):
+                counts[label] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        # element vertex gathers, averages of D, and the edge-matrix
+        # determinant and inverses, counted on every name a module looks up
+        names = {"element_edge_matrices": "gathers", "element_volumes": "gathers",
+                 "element_averages": "averages"}
+        for module in (mesh_mod, diffusion_mod, assembly_mod, bounds_mod):
+            for name, label in names.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(label, getattr(module, name)))
+        monkeypatch.setattr(np.linalg, "det", counting("det", np.linalg.det))
+        monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+        return counts
+
+    @pytest.fixture
+    def case(self):
+        mesh = generate_skew_mesh_2d(12, 16.0)
+        field = rotated_anisotropic_field(1000.0, 1.0)
+        return mesh, field, _pinned_cal(mesh, field)
+
+    def test_condition_bounds(self, case, calls):
+        condition_bounds(*case)
+        assert calls == {"gathers": 1, "averages": 1, "det": 1, "inv": 2}
+
+    @pytest.mark.parametrize("estimate", [
+        lambda mesh, field, cal: alt_scaling(mesh, field),
+        lambda mesh, field, cal: quality_measures(mesh, field),
+        lambda mesh, field, cal: lambda_max_geometric_bound(mesh, field),
+        lambda mesh, field, cal: lambda_min_bound(mesh, field, cal, scaled=True),
+        lambda mesh, field, cal: m_uniform_bound(
+            mesh, field, np.broadcast_to(np.eye(2), (mesh.n_elements, 2, 2)), cal),
+    ], ids=["alt_scaling", "quality_measures", "lambda_max_geometric_bound",
+            "lambda_min_bound", "m_uniform_bound"])
+    def test_every_estimate(self, case, calls, estimate):
+        estimate(*case)
+        assert (calls["gathers"], calls["averages"]) == (1, 1)
+
+
+# Every estimate column of condition_bounds, recorded with c = 2.5 before
+# the per-element geometry moved into one record.  A change of formula must
+# update these values and say why.
+PINNED_ESTIMATES = {
+    "chebyshev-256": {
+        "est_lambda_max": (118592.12940293406, 237184.25880586813),
+        "est_lambda_max_scaled": (1.0, 2.0),
+        "est_lambda_min": 0.009765625,
+        "est_lambda_min_scaled": 6.941089118829758e-06,
+        "est_kappa": 24287668.101720896,
+        "est_kappa_scaled": 288139.2193300628,
+        "factor_base": 163840.0,
+        "factor_d_nonuniformity": 463.2505054802112,
+        "factor_d_nonuniformity_scaled": 5.495819460488564,
+        "factor_volume": 1.0,
+    },
+    "skew2d-16-a64-rotated": {
+        "est_lambda_max": (64572.45494972323, 193717.36484916968),
+        "est_lambda_max_scaled": (1.0, 3.0),
+        "est_lambda_min": 0.0009464863655758829,
+        "est_lambda_min_scaled": 1.6198434170888764e-07,
+        "est_kappa": 204670000.42975128,
+        "est_kappa_scaled": 18520308.61965344,
+        "factor_base": 1280.0,
+        "factor_d_nonuniformity": 177056.0785710409,
+        "factor_d_nonuniformity_scaled": 3697.9703131259816,
+        "factor_volume": 5.1588830833596715,
+    },
+    "skew3d-6-a25": {
+        "est_lambda_max": (4.918367346938751, 19.673469387755006),
+        "est_lambda_max_scaled": (1.0, 4.0),
+        "est_lambda_min": 0.0013990350411903025,
+        "est_lambda_min_scaled": 0.0007439692662114251,
+        "est_kappa": 14062.17057366681,
+        "est_kappa_scaled": 5376.566185817761,
+        "factor_base": 297.17345240051634,
+        "factor_d_nonuniformity": 419.6602236374038,
+        "factor_d_nonuniformity_scaled": 28.269297265550943,
+        "factor_volume": 1.3788163190235776,
+    },
+    "uniform3d-4-const": {
+        "est_lambda_max": (3.9333333333333362, 15.733333333333345),
+        "est_lambda_max_scaled": (1.0, 4.0),
+        "est_lambda_min": 0.012240149107519874,
+        "est_lambda_min_scaled": 0.014972574336633723,
+        "est_kappa": 1285.3873915365455,
+        "est_kappa_scaled": 267.1551271055047,
+        "factor_base": 132.07708995578503,
+        "factor_d_nonuniformity": 75.8507519330469,
+        "factor_d_nonuniformity_scaled": 3.1605018420839874,
+        "factor_volume": 1.0,
+    },
+}
+
+PINNED_CASES = {
+    "chebyshev-256": (lambda: generate_chebyshev_mesh(256), "identity"),
+    "skew2d-16-a64-rotated": (lambda: generate_skew_mesh_2d(16, 64.0), "rotated:1000,1"),
+    "skew3d-6-a25": (lambda: generate_skew_mesh_3d(6, 25.0), "identity"),
+    "uniform3d-4-const": (lambda: generate_uniform_mesh(3, 4),
+                          "const:4,1,0.5,1,3,0.2,0.5,0.2,2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASES))
+def test_pinned_estimates(name):
+    make, spec = PINNED_CASES[name]
+    mesh = make()
+    field = parse_field_spec(spec, mesh.dim)
+    report = condition_bounds(mesh, field, _pinned_cal(mesh, field))
+    got = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+           if f.name.startswith(("est_", "factor_"))}
+    assert got.keys() == PINNED_ESTIMATES[name].keys()
+    for column, value in PINNED_ESTIMATES[name].items():
+        assert got[column] == pytest.approx(value, rel=1e-13), column
