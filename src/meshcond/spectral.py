@@ -6,17 +6,17 @@ once and hands ARPACK its solve; ARPACK never factors a matrix itself.  A
 stiffness matrix A and its Jacobi scaling S^-1 A S^-1 share one LU of A,
 since (S^-1 A S^-1)^-1 = S A^-1 S; a proven lower bound on the smallest
 eigenvalue (Wathen's min_j B_jj / 2 for a mass matrix) moves the pole up
-to it.  The largest eigenvalue comes from Lanczos iteration, or, for a
-tridiagonal matrix (every 1D matrix), from LAPACK bisection plus inverse
-iteration.  Each Lanczos solve has its own ARPACK settings.  On A itself,
-ARPACK stops on the relative residual ||A v - theta v|| / theta that the
-result check measures, so the lambda_max solve asks for a tenth of the
-tolerance, with a 20-vector basis that keeps each restart cheap and a start
-vector peaked where the paper's patchwise bound lambda_max(A) <= (d+1)
-max_j A_jj puts the top of the spectrum: at the largest diagonal entry.
-The shift-invert stop test loosens by up to kappa(A) on the way back to A,
-so the lambda_min solve asks for a hundredth, and a pair that still misses
-the tolerance gets up to two inverse-iteration steps.  Small orders use
+to it.  ARPACK runs only this shift-invert solve.  The shift-invert stop
+test loosens by up to kappa(A) on the way back to A, so it asks for a
+hundredth of the tolerance, and a pair that still misses the tolerance gets
+up to two inverse-iteration steps.  The largest eigenvalue comes from plain
+Lanczos on A, or, for a tridiagonal matrix (every 1D matrix), from LAPACK
+bisection plus inverse iteration.  Plain Lanczos keeps no basis and does not
+reorthogonalize: orthogonality is lost only along Ritz vectors that have
+already converged (Paige 1980), so the top Ritz pair converges all the same.
+It stops on the relative residual ||A v - theta v|| / theta that the result
+check measures, at a tenth of the tolerance, and a second pass over the
+same recurrence sums the Ritz vector.  Small orders use
 LAPACK's dense eigensolver for both.  The dense oracle is an independent
 in-repo solver for the same two extremes, used to verify the production
 path at desk scale: LAPACK's Hessenberg reduction (not an eigensolver)
@@ -53,9 +53,11 @@ _ORACLE_MAX_ORDER = 4000
 # lambda_min: A - sigma I stays well conditioned even when lambda_min sits on
 # the bound, and the pole is still close enough for most of the speed-up
 _POLE_GAP = 1e-3
+# the lambda_max Lanczos: tolerance as a factor of rel_tol, steps between two
+# looks at the top Ritz pair, and its step cap as a multiple of the order
+_LA_TOL_FACTOR, _LA_CHECK_EVERY, _LA_STEPS_PER_ORDER = 0.1, 10, 4
 # ARPACK's Lanczos basis size and tolerance, as a factor of rel_tol, for the
-# lambda_max solve on A and for the shift-invert lambda_min solve
-_LA_NCV, _LA_TOL_FACTOR = 20, 0.1
+# shift-invert lambda_min solve
 _LM_NCV, _LM_TOL_FACTOR = 32, 1e-2
 # inverse-iteration steps allowed on a lambda_min pair that misses rel_tol
 _POLISH_STEPS = 2
@@ -90,11 +92,12 @@ def check_tolerance(tol, name="rel_tol"):
 def extreme_eigenvalues(mat, rel_tol=1e-8, lower_bound=0.0, inverse=None):
     """Extreme eigenvalues of a sparse SPD matrix.
 
-    lambda_min comes from Lanczos on the inverted operator (one sparse
-    factorization, then solves).  lambda_max comes from Lanczos iteration
-    on the matrix itself, except for a tridiagonal matrix, where LAPACK
-    bisection plus inverse iteration (``stebz`` + ``stein``) returns the top
-    eigenpair directly.  Bisection is not used for lambda_min: ``stebz``
+    lambda_min comes from ARPACK's Lanczos on the inverted operator (one
+    sparse factorization, then solves).  lambda_max comes from plain
+    Lanczos on the matrix itself, with no reorthogonalization and no stored
+    basis, except for a tridiagonal matrix, where LAPACK bisection plus
+    inverse iteration (``stebz`` + ``stein``) returns the top eigenpair
+    directly.  Bisection is not used for lambda_min: ``stebz``
     gives eigenvalues to an absolute accuracy of O(eps * ||A||), which at
     the small end of an ill-conditioned spectrum (a graded 1D mesh) is
     too poor a relative accuracy for the residual check.  A lambda_min pair
@@ -143,15 +146,10 @@ def extreme_eigenvalues(mat, rel_tol=1e-8, lower_bound=0.0, inverse=None):
             )
         largest = wmax[0], vmax[:, 0]
     else:
-        v0 = 1e-3 * start
-        v0[np.argmax(a.diagonal())] += 1.0
-        largest = _lanczos(a, v0, _LA_NCV, rel_tol * _LA_TOL_FACTOR, which="LA")
+        largest = _top_eigenpair(a, start, rel_tol * _LA_TOL_FACTOR)
     sigma = 0.0 if inverse is not None else lower_bound * (1.0 - _POLE_GAP)
-    # factored after the lambda_max solve has released its Lanczos basis
     solve = inverse or _shifted_inverse(a, sigma)
-    opinv = spla.LinearOperator(a.shape, matvec=solve, dtype=float)
-    smallest = _lanczos(a, start, _LM_NCV, rel_tol * _LM_TOL_FACTOR,
-                        sigma=sigma, which="LM", OPinv=opinv)
+    smallest = _smallest_eigenpair(a, start, sigma, solve, rel_tol * _LM_TOL_FACTOR)
     smallest = _polished(a, smallest, solve, rel_tol)
     return _checked_result(a, smallest, largest, rel_tol, lower_bound)
 
@@ -180,18 +178,75 @@ def _shifted_inverse(a, sigma):
     return spla.splu(a.tocsc()).solve
 
 
+def _lanczos_steps(a, q):
+    """Plain Lanczos from the unit vector q: yields ``(q_j, alpha_j, beta_j)``.
+
+    Paige's variant of the three-term recurrence (alpha taken after the beta
+    term is removed), with no reorthogonalization, so two runs from one q
+    give the same vectors bit for bit.  q_{j+1} = w / beta_j is formed only
+    when the next step is asked for, so a caller that stops at beta_j = 0
+    never divides by it.
+    """
+    q_prev, beta = np.zeros_like(q), 0.0
+    while True:
+        w = a @ q
+        w -= beta * q_prev
+        alpha = q @ w
+        w -= alpha * q
+        beta = np.linalg.norm(w)
+        yield q, alpha, beta
+        q_prev, q = q, w / beta
+
+
+def _top_eigenpair(a, start, tol):
+    """Largest eigenpair of a symmetric matrix by two-pass plain Lanczos.
+
+    Every ``_LA_CHECK_EVERY`` steps the first pass takes the top Ritz pair
+    (theta, s) of the tridiagonal T_k and stops once ||A y - theta y|| =
+    beta_k |s_k| is at most ``tol * theta``.  It stops at once when beta_k
+    <= tol * max |alpha_j|, which implies that (theta >= alpha_j, |s_k| <= 1)
+    and covers a breakdown, beta_k = 0.  The second pass regenerates the same
+    q_j and sums y = sum_j s_j q_j, so no basis is stored.  Raises
+    ConvergenceError after ``_LA_STEPS_PER_ORDER`` times the order steps.
+    """
+    q1 = start / np.linalg.norm(start)
+    cap = _LA_STEPS_PER_ORDER * a.shape[0]
+    alphas, betas, scale = [], [], 0.0
+    for _, alpha, beta in _lanczos_steps(a, q1):
+        alphas.append(alpha)
+        betas.append(beta)
+        scale = max(scale, abs(alpha))
+        k = len(alphas)
+        if beta <= tol * scale or k % _LA_CHECK_EVERY == 0:
+            with _lapack("eigh_tridiagonal"):
+                w, v = scipy.linalg.eigh_tridiagonal(
+                    alphas, betas[:-1], select="i", select_range=(k - 1, k - 1))
+            theta, s = w[0], v[:, 0]
+            if beta * abs(s[-1]) <= tol * abs(theta):
+                break
+        if k >= cap:
+            raise ConvergenceError(f"Lanczos for lambda_max did not converge in {k} steps")
+    vec = np.zeros_like(q1)
+    # zip takes s first, so the recurrence is not advanced past step k
+    for sj, (q, _, _) in zip(s, _lanczos_steps(a, q1)):
+        vec += sj * q
+    return theta, vec / np.linalg.norm(vec)
+
+
 def _lanczos_maxiter(n, ncv):
     """ARPACK's cap on implicit restarts for a basis of ``ncv`` vectors."""
     return max(100, 50 * n // ncv)
 
 
-def _lanczos(a, v0, ncv, tol, **kwargs):
-    """One eigenpair from ``eigsh`` with a basis of at most ``ncv`` vectors."""
+def _smallest_eigenpair(a, start, sigma, solve, tol):
+    """lambda_min pair from ARPACK's shift-invert Lanczos, ``solve`` as the inverse."""
     n = a.shape[0]
-    ncv = min(n - 1, ncv)
+    ncv = min(n - 1, _LM_NCV)
     maxiter = _lanczos_maxiter(n, ncv)
+    opinv = spla.LinearOperator(a.shape, matvec=solve, dtype=float)
     try:
-        w, v = spla.eigsh(a, k=1, tol=tol, maxiter=maxiter, ncv=ncv, v0=v0, **kwargs)
+        w, v = spla.eigsh(a, k=1, tol=tol, maxiter=maxiter, ncv=ncv, v0=start,
+                          sigma=sigma, which="LM", OPinv=opinv)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"Lanczos did not converge within {maxiter} iterations: {exc}"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -178,20 +180,32 @@ class TestLowerBound:
             extreme_eigenvalues(sp.identity(4, format="csr"), 1e-8, lower_bound=bound)
 
 
+def _eigsh_calls(monkeypatch):
+    """Record the keyword arguments of every ``eigsh`` call spectral makes."""
+    calls = []
+    real = spectral.spla.eigsh
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "eigsh", recorded)
+    return calls
+
+
+def _assert_only_shift_invert(calls, n, rel_tol=1e-8):
+    """The one eigsh call is the lambda_min shift-invert, with its settings."""
+    assert [c.get("which") for c in calls] == ["LM"]
+    (bottom,) = calls
+    assert spectral._LM_NCV == 32 and bottom["ncv"] == min(n - 1, 32)
+    assert bottom["tol"] == rel_tol * 1e-2 == rel_tol * spectral._LM_TOL_FACTOR
+    assert bottom["maxiter"] == max(100, 50 * n // 32)
+    assert bottom["sigma"] == 0.0
+    assert np.array_equal(bottom["v0"], np.random.default_rng(0).standard_normal(n))
+
+
 class TestArpackSettings:
-    """The lambda_max and lambda_min Lanczos solves have their own settings."""
-
-    @staticmethod
-    def _eigsh_kwargs(monkeypatch):
-        calls = {}
-        real = spectral.spla.eigsh
-
-        def recorded(*args, **kwargs):
-            calls[kwargs["which"]] = kwargs
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(spectral.spla, "eigsh", recorded)
-        return calls
+    """ARPACK runs only the shift-invert lambda_min solve, with its own settings."""
 
     @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
     @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
@@ -199,24 +213,12 @@ class TestArpackSettings:
         a = assemble_stiffness(generate_skew_mesh_2d(16, 8.0),
                                rotated_anisotropic_field(100.0, 1.0))
         mat = _scaled(a) if scaled else a
-        n = mat.shape[0]
-        calls = self._eigsh_kwargs(monkeypatch)
-        extreme_eigenvalues(mat, rel_tol)
-        top, bottom = calls["LA"], calls["LM"]
-        assert top["ncv"] == spectral._LA_NCV == 20
-        assert top["tol"] == rel_tol * spectral._LA_TOL_FACTOR
-        assert top["tol"] == pytest.approx(rel_tol / 10, rel=1e-15)
-        assert top["maxiter"] == spectral._lanczos_maxiter(n, 20)
-        peak = int(np.argmax(mat.diagonal()))
-        v0 = top["v0"]
-        assert np.argmax(np.abs(v0)) == peak
-        assert v0[peak] == pytest.approx(1.0, abs=1e-2)
-        assert np.linalg.norm(np.delete(v0, peak)) < 0.1
-        assert spectral._LM_NCV == 32 and bottom["ncv"] == min(n - 1, 32)
-        assert bottom["tol"] == rel_tol * 1e-2 == rel_tol * spectral._LM_TOL_FACTOR
-        assert bottom["maxiter"] == max(100, 50 * n // 32)
-        assert bottom["sigma"] == 0.0
-        assert np.array_equal(bottom["v0"], np.random.default_rng(0).standard_normal(n))
+        calls = _eigsh_calls(monkeypatch)
+        result = extreme_eigenvalues(mat, rel_tol)
+        _assert_only_shift_invert(calls, mat.shape[0], rel_tol)
+        eigs = scipy.linalg.eigvalsh(mat.toarray())
+        assert result.lambda_max == pytest.approx(eigs[-1], rel=1e-8)
+        assert 0.0 < result.rel_tol_achieved <= rel_tol
 
     @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
     @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
@@ -260,6 +262,74 @@ class TestPolished:
         assert lam2 == pytest.approx(1.0, rel=1e-8)
 
 
+class TestPlainLanczos:
+    """lambda_max by two-pass plain Lanczos: no basis, no ARPACK."""
+
+    def test_identity_stops_at_breakdown_without_warning(self):
+        # beta_1 is rounding noise, below tol * alpha_1, so the first step stops
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = extreme_eigenvalues(sp.identity(100, format="csr"), 1e-8)
+        assert result.lambda_max == pytest.approx(1.0, rel=4 * np.finfo(float).eps)
+        assert result.lambda_min == pytest.approx(1.0, rel=4 * np.finfo(float).eps)
+
+    def test_exact_breakdown_divides_by_nothing(self):
+        # from a multiple of e_1 the first step gives beta_1 = 0 exactly
+        a = sp.identity(100, format="csr")
+        start = np.zeros(100)
+        start[0] = 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lam, vec = spectral._top_eigenpair(a, start, 1e-9)
+        assert lam == 1.0
+        assert np.array_equal(vec, start / 2.0)
+
+    def test_diagonal_extremes(self):
+        a = sp.diags(np.arange(1.0, 201.0)).tocsr()
+        result = extreme_eigenvalues(a, 1e-8)
+        assert result.lambda_max == pytest.approx(200.0, rel=1e-10)
+        assert result.lambda_min == pytest.approx(1.0, rel=1e-10)
+        assert 0.0 < result.rel_tol_achieved <= 1e-8
+
+    def test_starts_from_the_seeded_vector(self, monkeypatch):
+        starts = []
+        real = spectral._top_eigenpair
+
+        def recorded(a, start, tol):
+            starts.append(start)
+            return real(a, start, tol)
+
+        monkeypatch.setattr(spectral, "_top_eigenpair", recorded)
+        a = assemble_stiffness(generate_skew_mesh_2d(16, 8.0), identity_field(2))
+        extreme_eigenvalues(a, 1e-8)
+        (start,) = starts
+        assert np.array_equal(start, np.random.default_rng(0).standard_normal(a.shape[0]))
+
+    def test_step_cap_raises(self, monkeypatch):
+        a = assemble_stiffness(generate_skew_mesh_2d(16, 8.0), identity_field(2))
+        assert a.shape[0] == 225
+        monkeypatch.setattr(spectral, "_LA_STEPS_PER_ORDER", 0.05)
+        with pytest.raises(ConvergenceError, match="lambda_max did not converge in 12 steps"):
+            extreme_eigenvalues(a, 1e-8)
+
+    def test_step_cap_gives_no_convergence_row(self, monkeypatch):
+        from meshcond.bounds import calibrate_constant
+        from meshcond.experiments import analyze_mesh
+
+        field = rotated_anisotropic_field(100.0, 1.0)
+        mesh = generate_skew_mesh_2d(12, 9.0)
+        cal = calibrate_constant(2, field, 32)
+        ok, _ = analyze_mesh(mesh, field, cal, n_label=12, aspect_label=9.0)
+        monkeypatch.setattr(spectral, "_LA_STEPS_PER_ORDER", 0.05)
+        row, violations = analyze_mesh(mesh, field, cal, n_label=12, aspect_label=9.0)
+        assert ok.status == "ok"
+        assert row.status == "no-convergence" and violations == []
+        for name in ("lambda_min", "lambda_max", "kappa"):
+            assert np.isnan(getattr(row, name)) and np.isnan(getattr(row, name + "_scaled"))
+        assert row.est_kappa == ok.est_kappa
+        assert row.est_kappa_scaled == ok.est_kappa_scaled
+
+
 def _cheb_1024():
     return assemble_stiffness(generate_chebyshev_mesh(1024), identity_field(1))
 
@@ -275,25 +345,13 @@ def _scaled(a):
 class TestTridiagonalPath:
     """1D matrices get lambda_max from LAPACK bisection, lambda_min from eigsh."""
 
-    @staticmethod
-    def _eigsh_calls(monkeypatch):
-        calls = []
-        real = spectral.spla.eigsh
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(spectral.spla, "eigsh", counted)
-        return calls
-
     @pytest.mark.parametrize("build", [_cheb_1024, _uniform_1024],
                              ids=["chebyshev", "uniform"])
     @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
     def test_no_lanczos_for_lambda_max(self, monkeypatch, build, scaled):
         a = build()
         mat = _scaled(a) if scaled else a
-        calls = self._eigsh_calls(monkeypatch)
+        calls = _eigsh_calls(monkeypatch)
         extreme_eigenvalues(mat, 1e-8)
         assert [c.get("which") for c in calls] == ["LM"]
         assert calls[0]["sigma"] == 0.0
@@ -307,18 +365,22 @@ class TestTridiagonalPath:
         assert spectral._is_tridiagonal(mat)
         assert not spectral._is_tridiagonal(permuted)
         direct = extreme_eigenvalues(mat, 1e-8)
-        calls = self._eigsh_calls(monkeypatch)
+        calls = _eigsh_calls(monkeypatch)
         lanczos = extreme_eigenvalues(permuted, 1e-8)
-        assert sorted(c.get("which") for c in calls) == ["LA", "LM"]
+        _assert_only_shift_invert(calls, mat.shape[0])
         assert lanczos.lambda_min == pytest.approx(direct.lambda_min, rel=1e-8)
         assert lanczos.lambda_max == pytest.approx(direct.lambda_max, rel=1e-8)
+        eigs = scipy.linalg.eigvalsh(mat.toarray())
+        assert lanczos.lambda_max == pytest.approx(eigs[-1], rel=1e-8)
 
     def test_skew2d_is_not_tridiagonal(self, monkeypatch):
         a = assemble_stiffness(generate_skew_mesh_2d(16, 8.0), identity_field(2))
         assert not spectral._is_tridiagonal(a)
-        calls = self._eigsh_calls(monkeypatch)
-        extreme_eigenvalues(a, 1e-8)
-        assert sorted(c.get("which") for c in calls) == ["LA", "LM"]
+        calls = _eigsh_calls(monkeypatch)
+        result = extreme_eigenvalues(a, 1e-8)
+        _assert_only_shift_invert(calls, a.shape[0])
+        eigs = scipy.linalg.eigvalsh(a.toarray())
+        assert result.lambda_max == pytest.approx(eigs[-1], rel=1e-8)
 
     def test_one_entry_off_the_band(self):
         a = sp.lil_matrix(_uniform_1024())
