@@ -55,10 +55,20 @@ def assemble_stiffness(mesh, field):
 
 
 def _stiffness(mesh, geom):
-    """Stiffness matrix of ``mesh`` from its element geometry record."""
-    local = np.einsum("eia,eab,ejb->eij", geom.grads, geom.dk, geom.grads)
-    local = 0.5 * (local + local.transpose(0, 2, 1)) * geom.vols[:, None, None]
-    return _scatter(mesh, local)
+    """Stiffness matrix of ``mesh`` from its element geometry record.
+
+    Raises ValueError if an entry is not finite, which happens when the
+    field's magnitude times the squared basis gradients overflows.
+    """
+    # an overflow is reported once, below, with its cause
+    with np.errstate(over="ignore", invalid="ignore"):
+        local = np.einsum("eia,eab,ejb->eij", geom.grads, geom.dk, geom.grads)
+        local = 0.5 * (local + local.transpose(0, 2, 1)) * geom.vols[:, None, None]
+    a = _scatter(mesh, local)
+    if not np.isfinite(a.data).all():
+        raise ValueError("the stiffness matrix has a non-finite entry: "
+                         "the diffusion field overflows on this mesh")
+    return a
 
 
 def assemble_mass(mesh):

@@ -1,8 +1,8 @@
 """Command line interface: generate meshes, analyze them, run studies.
 
-Exit codes: 0 on success, 1 on usage, input or I/O errors and when an
-eigensolver does not converge, 2 when an exact value falls outside one of
-the two-sided envelopes.
+Exit codes: 0 on success, 1 on usage, input or I/O errors, when memory
+runs out and when an eigensolver does not converge, 2 when an exact value
+falls outside one of the two-sided envelopes.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def _build_parser():
     gen.add_argument("--case", required=True, choices=GENERATE_CASES)
     gen.add_argument("--n", required=True, type=int,
                      help="subdivisions per axis (element count for chebyshev)")
-    gen.add_argument("--aspect", type=float, default=1.0,
-                     help="target aspect ratio for the skew families")
+    gen.add_argument("--aspect", type=float,
+                     help="target aspect ratio for the skew cases (default 1)")
     gen.add_argument("-o", "--output", required=True)
 
     ana = sub.add_parser("analyze", help="conditioning report for one mesh")
@@ -84,12 +84,15 @@ def _exit_code(violations):
 
 
 def _cmd_generate(args):
+    if args.aspect is not None and not args.case.startswith("skew"):
+        raise ValueError(f"--aspect applies only to the skew cases, not {args.case}")
+    aspect = 1.0 if args.aspect is None else args.aspect
     if args.case == "chebyshev":
         mesh = generate_chebyshev_mesh(args.n)
     elif args.case == "skew2d":
-        mesh = generate_skew_mesh_2d(args.n, args.aspect)
+        mesh = generate_skew_mesh_2d(args.n, aspect)
     elif args.case == "skew3d":
-        mesh = generate_skew_mesh_3d(args.n, args.aspect)
+        mesh = generate_skew_mesh_3d(args.n, aspect)
     else:
         mesh = generate_uniform_mesh(int(args.case[-2]), args.n)
     write_mesh(mesh, args.output)
@@ -153,8 +156,8 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, ConvergenceError) as exc:
-        print(f"meshcond: error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, ConvergenceError, MemoryError) as exc:
+        print(f"meshcond: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -1,7 +1,7 @@
 """SPD diffusion tensor fields, element averages and spectral bounds.
 
-Fields are immutable closed-form objects: the identity, a constant SPD
-matrix, or the rotated anisotropic tensor
+Fields are immutable closed-form objects: a constant SPD matrix (the
+identity field is the constant field I), or the rotated anisotropic tensor
 R(psi) diag(l1, l2) R(psi)^T with psi = pi sin(x) cos(y).
 Element averages use one-point barycenter quadrature, which is exact for
 the constant fields.
@@ -35,13 +35,14 @@ class FieldError(ValueError):
     """Raised when a diffusion tensor is not symmetric positive definite."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionField:
     """Closed-form SPD tensor field D(x) on the unit domain.
 
-    ``kind`` is one of ``identity``, ``constant`` or ``rotated``; the extra
-    payload is ``matrix`` for a constant field and ``(l1, l2)`` eigenvalues
-    for the rotated anisotropic field.
+    ``kind`` is ``constant`` or ``rotated``; the extra payload is ``matrix``
+    for a constant field and ``(l1, l2)`` eigenvalues for the rotated
+    anisotropic field.  Fields compare and hash by identity; compare
+    ``spec`` to ask whether two fields are the same.
     """
 
     dim: int
@@ -51,17 +52,17 @@ class DiffusionField:
 
     @property
     def spec(self):
-        """Canonical CLI string for this field."""
-        if self.kind == "identity":
-            return "identity"
+        """Canonical CLI string for this field; ``identity`` for D = I."""
         if self.kind == "constant":
+            if np.array_equal(self.matrix, np.eye(self.dim)):
+                return "identity"
             return "const:" + ",".join(f"{v:.17g}" for v in self.matrix.ravel())
         l1, l2 = self.eigenvalues
         return f"rotated:{l1:.17g},{l2:.17g}"
 
 
 def identity_field(dim):
-    return DiffusionField(dim=dim, kind="identity")
+    return constant_field(np.eye(dim))
 
 
 def constant_field(matrix):
@@ -142,8 +143,6 @@ def _rotated_tensors(field, points):
 
 
 def _tensors_at(field, points):
-    if field.kind == "identity":
-        return np.broadcast_to(np.eye(field.dim), (len(points), field.dim, field.dim))
     if field.kind == "constant":
         return np.broadcast_to(field.matrix, (len(points), field.dim, field.dim))
     return _rotated_tensors(field, points)
@@ -159,8 +158,6 @@ def element_averages(field, mesh):
 
 def field_spectral_bounds(field):
     """Exact field-wide eigenvalue bounds (d_min, d_max) for closed-form kinds."""
-    if field.kind == "identity":
-        return 1.0, 1.0
     if field.kind == "constant":
         eigs = np.linalg.eigvalsh(field.matrix)
         return float(eigs[0]), float(eigs[-1])

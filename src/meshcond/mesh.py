@@ -84,7 +84,7 @@ class DegenerateElementError(ValueError):
     """Raised for elements with zero or non-finite volume."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplicialMesh:
     """A conforming simplicial mesh in d = 1, 2 or 3 dimensions.
 
@@ -112,6 +112,7 @@ class SimplicialMesh:
     neighboring element) leaves one-element facets inside the domain, so a
     hand-built mesh with one is analyzed as the slit domain it describes;
     :func:`read_mesh` rejects a file that flags such a node as interior.
+    Meshes compare and hash by identity.
     """
 
     dim: int

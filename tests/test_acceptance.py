@@ -239,7 +239,7 @@ def test_criterion_6_calibration(battery, cal1, cal2, cal3):
     cals = {1: cal1, 2: cal2, 3: cal3}
     checked = 0
     for e in entries:
-        if e.field.kind != "identity" or e.label.startswith("uniform"):
+        if e.field.spec != "identity" or e.label.startswith("uniform"):
             continue
         bound = lambda_min_bound(e.mesh, e.field, cals[e.mesh.dim])
         assert bound <= e.exact.lambda_min * (1 + SLACK), e.label

@@ -8,6 +8,7 @@ from meshcond.assembly import (
     assemble_stiffness,
     jacobi_scaling,
 )
+from meshcond.bounds import CalibrationConstant, condition_bounds
 from meshcond.diffusion import (
     constant_field,
     identity_field,
@@ -101,6 +102,18 @@ class TestStiffness:
         elems = np.array([[0, 1, 2], [1, 3, 3]])  # second element collapsed
         with pytest.raises(DegenerateElementError, match="element 1 is degenerate"):
             SimplicialMesh(dim=2, vertices=verts, elements=elems)
+
+    def test_overflowing_field_named(self):
+        # 1e308 times the squared gradients overflows; RuntimeWarning is an error
+        mesh = generate_uniform_mesh(2, 4)
+        field = rotated_anisotropic_field(1e308, 1.0)
+        cal = CalibrationConstant(c=20.0, dim=2, n_ref=4, field=field.spec,
+                                  provenance="test")
+        message = "non-finite entry: the diffusion field overflows on this mesh"
+        with pytest.raises(ValueError, match=message):
+            assemble_stiffness(mesh, field)
+        with pytest.raises(ValueError, match=message):
+            condition_bounds(mesh, field, cal)
 
 
 class TestMass:

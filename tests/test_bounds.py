@@ -23,6 +23,7 @@ from meshcond.bounds import (
     quality_measures,
 )
 from meshcond.diffusion import (
+    constant_field,
     element_averages,
     identity_field,
     parse_field_spec,
@@ -371,6 +372,38 @@ class TestConditionBounds:
         for mesh, field, cal in cases:
             rep = condition_bounds(mesh, field, cal)
             assert rep.est_kappa >= rep.est_kappa_scaled
+
+
+class TestIdentityIsConstantI:
+    """identity_field(d) and constant_field(I) are one field with one spec."""
+
+    @pytest.mark.parametrize("make_mesh, n_ref", [
+        (lambda: generate_chebyshev_mesh(32), 16),
+        (lambda: generate_skew_mesh_2d(6, 9.0), 8),
+        (lambda: generate_skew_mesh_3d(4, 4.0), 4),
+    ], ids=["1d", "2d", "3d"])
+    def test_same_numbers_from_both_constructors(self, make_mesh, n_ref):
+        mesh = make_mesh()
+        reports, constants = [], []
+        for field in (identity_field(mesh.dim), constant_field(np.eye(mesh.dim))):
+            cal = calibrate_constant(mesh.dim, field, n_ref)
+            constants.append(cal.c)
+            reports.append(condition_bounds(mesh, field, cal))
+        assert constants[0] == constants[1]
+        for f in dataclasses.fields(reports[0]):
+            if f.name.startswith(("est_", "factor_")):
+                assert getattr(reports[0], f.name) == getattr(reports[1], f.name), f.name
+        for name in ("exact", "exact_scaled"):
+            a, b = getattr(reports[0], name), getattr(reports[1], name)
+            assert (a.lambda_min, a.lambda_max) == (b.lambda_min, b.lambda_max)
+
+    def test_records_compare_by_identity(self):
+        meshes = [generate_uniform_mesh(2, 3) for _ in range(2)]
+        fields = [constant_field(np.diag([2.0, 3.0])) for _ in range(2)]
+        quality = [quality_measures(meshes[0], fields[0]) for _ in range(2)]
+        for a, b in (meshes, fields, quality):
+            assert a == a and a != b
+            assert len({a, b}) == 2
 
 
 class TestSharedFactorization:

@@ -7,6 +7,8 @@ from meshcond import cli
 from meshcond.experiments import load_calibration
 from meshcond.mesh import (
     element_volumes,
+    generate_skew_mesh_2d,
+    generate_skew_mesh_3d,
     generate_uniform_mesh,
     read_mesh,
     write_mesh,
@@ -46,6 +48,35 @@ class TestGenerate:
         out = tmp_path / "x.msh"
         code = run(["generate", "--case", "chebyshev", "--n", "1", "-o", str(out)])
         assert code == 1
+
+    @pytest.mark.parametrize("case", ["uniform1d", "uniform2d", "uniform3d", "chebyshev"])
+    def test_aspect_rejected_where_ignored(self, tmp_path, capsys, case):
+        out = tmp_path / "x.msh"
+        code = run(["generate", "--case", case, "--n", "4", "--aspect", "7",
+                    "-o", str(out)])
+        assert code == 1
+        assert f"--aspect applies only to the skew cases, not {case}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case, make", [
+        ("skew2d", generate_skew_mesh_2d), ("skew3d", generate_skew_mesh_3d)])
+    def test_skew_aspect_defaults_to_one(self, tmp_path, case, make):
+        out = tmp_path / "s.msh"
+        assert run(["generate", "--case", case, "--n", "4", "-o", str(out)]) == 0
+        mesh = read_mesh(out)
+        assert np.array_equal(mesh.vertices, make(4, 1.0).vertices)
+
+    def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        def exhausted(dim, n):
+            raise MemoryError("Unable to allocate 5.2 TiB for an array")
+
+        monkeypatch.setattr(cli, "generate_uniform_mesh", exhausted)
+        code = run(["generate", "--case", "uniform3d", "--n", "6000",
+                    "-o", str(tmp_path / "x.msh")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "meshcond: error: Unable to allocate 5.2 TiB for an array\n"
 
 
 class TestCalibrate:
@@ -108,6 +139,20 @@ class TestCalibrationFile:
         assert "field=rotated:1000,1" in err and "field=identity" in err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("file_field, field", [
+        ("const:1,0,0,1", "identity"), ("identity", "const:1,0,0,1")])
+    def test_identity_matches_const_i(self, tmp_path, file_field, field):
+        assert self.analyze(tmp_path, self.CAL.format(field=file_field), field) == 0
+
+    def test_calibrated_const_i_accepted_by_identity(self, tmp_path):
+        cal_path = tmp_path / "cal.txt"
+        assert run(["calibrate", "--dim", "2", "--field", "const:1,0,0,1",
+                    "--n-ref", "4", "-o", str(cal_path)]) == 0
+        assert "field = identity\n" in cal_path.read_text()
+        code = run(["analyze", "--mesh", str(_skew_mesh(tmp_path)), "--field", "identity",
+                    "--calibration", str(cal_path), "--csv", str(tmp_path / "r.csv")])
+        assert code == 0
+
     def test_field_matched_in_canonical_form(self, tmp_path):
         cal_text = self.CAL.format(field="rotated  # default l1, l2")
         assert self.analyze(tmp_path, cal_text, "rotated:1000,1") == 0
@@ -141,6 +186,14 @@ class TestAnalyze:
         assert code == 0
         # the calibration (uniform n=8), the stiffness pair and the mass matrix
         assert splu_calls == [(7 ** 3, 7 ** 3)] * 3
+
+    def test_overflowing_field_exits_one(self, tmp_path, capsys):
+        code = run(["analyze", "--mesh", str(_skew_mesh(tmp_path)),
+                    "--field", "rotated:1e308,1", "--csv", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "the diffusion field overflows on this mesh" in err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_missing_mesh_exits_one(self, tmp_path):
         code = run(["analyze", "--mesh", str(tmp_path / "nope.msh"),

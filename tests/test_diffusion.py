@@ -143,7 +143,15 @@ class TestSpectralBounds:
 
 class TestParseSpec:
     def test_identity(self):
-        assert parse_field_spec("identity", 3).kind == "identity"
+        assert parse_field_spec("identity", 3).spec == "identity"
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_identity_is_constant_i(self, dim):
+        field = identity_field(dim)
+        assert field.kind == "constant"
+        assert field.spec == constant_field(np.eye(dim)).spec == "identity"
+        ones = ",".join("1" if i == j else "0" for i in range(dim) for j in range(dim))
+        assert parse_field_spec(f"const:{ones}", dim).spec == "identity"
 
     def test_const_row_major(self):
         field = parse_field_spec("const:4,0,0,9", 2)
