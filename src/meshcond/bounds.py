@@ -23,6 +23,7 @@ from .assembly import (
     jacobi_scaling,
 )
 from .diffusion import (
+    _check_finite_product,
     _ElementGeometry,
     element_averages,
     field_spectral_bounds,
@@ -187,6 +188,7 @@ def quality_measures(mesh, field):
 
 def _quality_measures(geom):
     d, n = geom.dim, geom.n_elements
+    dk_norm = geom.mk_norm  # rejects an overflowing field before det(D_K) warns
     metric_vols = geom.vols / np.sqrt(np.linalg.det(geom.dk))
     sigma_h = float(metric_vols.sum())
     q_eq = (sigma_h / n) / metric_vols
@@ -197,8 +199,7 @@ def _quality_measures(geom):
         det_m = np.linalg.det(geom.mk)
         ratio = (tr / d) / det_m ** (1.0 / d)
         q_ali = ratio ** (d / (2.0 * (d - 1)))
-    return QualityMeasures(q_ali=q_ali, q_eq=q_eq, sigma_h=sigma_h,
-                           dk_norm=geom.mk_norm)
+    return QualityMeasures(q_ali=q_ali, q_eq=q_eq, sigma_h=sigma_h, dk_norm=dk_norm)
 
 
 def lambda_max_geometric_bound(mesh, field):
@@ -356,9 +357,11 @@ def m_uniform_bound(mesh, field, metric, cal):
     _check_metric(metric)
     vols = element_volumes(mesh)
     sigma_hm = float(np.sum(vols * np.sqrt(np.linalg.det(metric))))
-    prod = metric @ element_averages(field, mesh)
-    # operator norm of the (nonsymmetric) product via its Gram matrix
-    norms = np.sqrt(spd_norm2(prod.transpose(0, 2, 1) @ prod))
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        prod = metric @ element_averages(field, mesh)
+        # operator norm of the (nonsymmetric) product via its Gram matrix
+        norms = np.sqrt(spd_norm2(prod.transpose(0, 2, 1) @ prod))
+    _check_finite_product(norms, "M_K D_K")
     term = float(np.sum(vols * norms ** (d / 2.0)) ** (2.0 / d))
     d_min, _ = field_spectral_bounds(field)
     n = mesh.n_elements

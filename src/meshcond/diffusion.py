@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import element_edge_matrices, reference_simplex
+from .mesh import DegenerateElementError, element_edge_matrices, reference_simplex
 
 __all__ = [
     "FieldError",
@@ -221,7 +221,11 @@ class _ElementGeometry:
     ``mk_norm`` their spectral norms, computed on first use, after the
     stiffness assembly.  The stiffness diagonal is bounded by the transposed
     (F'_K)^{-1} D_K (F'_K)^{-T} instead; they differ for an anisotropic
-    field (ROADMAP.md, item 3).
+    field (ROADMAP.md, item 3).  Construction raises DegenerateElementError
+    naming the first element whose |K| is not positive and finite or whose
+    gradients or (F'_K)^{-1} overflow, which a valid mesh with a vertex
+    moved by 1e-320 or to 1e308 gives; ``mk`` and ``mk_norm`` raise
+    FieldError naming the first element where they are not finite.
     """
 
     def __init__(self, mesh, field):
@@ -232,19 +236,50 @@ class _ElementGeometry:
         # inv(E^T) differs from inv(E)^T in the last bits, and the recorded
         # references were computed with both
         ref = reference_simplex(d)
-        self._finv = np.einsum("ab,ebc->eac", (ref[1:] - ref[0]).T,
-                               np.linalg.inv(edges.transpose(0, 2, 1)))
-        self.vols = np.linalg.det(edges) / math.factorial(d)
-        self.grads = np.empty((mesh.n_elements, d + 1, d))
-        self.grads[:, 1:, :] = np.linalg.inv(edges).transpose(0, 2, 1)
-        self.grads[:, 0, :] = -self.grads[:, 1:, :].sum(axis=1)
+        # an element too ill-scaled for floating point is named below; the
+        # arrays are made in this order, F'^-1 first, because other orders
+        # left up to 14 MB of freed heap resident under the LU that follows
+        with np.errstate(all="ignore"):
+            self._finv = np.einsum("ab,ebc->eac", (ref[1:] - ref[0]).T,
+                                   np.linalg.inv(edges.transpose(0, 2, 1)))
+            self.vols = np.linalg.det(edges) / math.factorial(d)
+            self.grads = np.empty((mesh.n_elements, d + 1, d))
+            self.grads[:, 1:, :] = np.linalg.inv(edges).transpose(0, 2, 1)
+            self.grads[:, 0, :] = -self.grads[:, 1:, :].sum(axis=1)
+        inverse_ok = (np.isfinite(self._finv).all(axis=(1, 2))
+                      & np.isfinite(self.grads).all(axis=(1, 2)))
+        bad = ~(inverse_ok & np.isfinite(self.vols) & (self.vols > 0.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DegenerateElementError(
+                f"element {k} of the mesh is too ill-scaled for floating point "
+                f"(volume {self.vols[k]:.3g}"
+                f"{'' if inverse_ok[k] else ', Jacobian inverse not finite'})")
         self.dk = element_averages(field, mesh)
 
     @cached_property
     def mk(self):
-        m = np.einsum("eba,ebc,ecd->ead", self._finv, self.dk, self._finv)
-        return 0.5 * (m + m.transpose(0, 2, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = np.einsum("eba,ebc,ecd->ead", self._finv, self.dk, self._finv)
+            m = 0.5 * (m + m.transpose(0, 2, 1))
+        _check_finite_product(m, "M_K")
+        return m
 
     @cached_property
     def mk_norm(self):
-        return spd_norm2(self.mk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = spd_norm2(self.mk)
+        _check_finite_product(norms, "M_K")
+        return norms
+
+
+def _check_finite_product(values, name):
+    """Raise FieldError naming the first element whose ``name`` is not finite.
+
+    ``values`` holds one array or number per element, a product of the
+    field with the element geometry, computed under ``np.errstate``.
+    """
+    bad = ~np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    if bad.any():
+        raise FieldError(f"{name} of element {int(np.argmax(bad))} is not finite: "
+                         f"the diffusion field overflows on this mesh")

@@ -81,7 +81,8 @@ class MeshFormatError(ValueError):
 
 
 class DegenerateElementError(ValueError):
-    """Raised for elements with zero or non-finite volume."""
+    """Raised for elements with zero or non-finite volume, or whose geometry
+    does not fit in floating point."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,19 @@ once and hands ARPACK its solve; ARPACK never factors a matrix itself.  A
 stiffness matrix A and its Jacobi scaling S^-1 A S^-1 share one LU of A,
 since (S^-1 A S^-1)^-1 = S A^-1 S; a proven lower bound on the smallest
 eigenvalue (Wathen's min_j B_jj / 2 for a mass matrix) moves the pole up
-to it.  ARPACK runs only this shift-invert solve.  The shift-invert stop
+to it.  ARPACK runs only this shift-invert solve.  A proven lower bound can
+also make the solve unnecessary: when the Gershgorin bound max_i sum_j
+|a_ij| is at most _LANCZOS_KAPPA_MAX = 16 times it, kappa is at most 16,
+and one plain Lanczos run on A returns both extreme pairs with no
+factorization.  For a mass matrix that ratio is (d+2) r, the paper's upper
+bound on kappa(B).  By the Kaniel-Paige bound (Kaniel 1966, Paige 1971) an
+extreme Ritz value's error falls like T_{k-1}(1 + 2 gamma)^-2 times the
+spread of the spectrum, at most (kappa - 1) lambda_min.  16 is the measured
+crossover: on graded 2D mass matrices of order 16,129 and 32,400 the
+Lanczos path ties with the LU plus shift-invert at ratios of about 17 and
+20 and loses above; in 3D it wins to about 100.  A tridiagonal matrix
+keeps its O(n) LU, since on the uniform 1D mass matrix Lanczos took 0.042
+s against 0.003 s at order 511.  The shift-invert stop
 test loosens by up to kappa(A) on the way back to A, so it asks for a
 hundredth of the tolerance, and a pair that still misses the tolerance gets
 up to two inverse-iteration steps.  The largest eigenvalue comes from plain
@@ -56,6 +68,11 @@ _POLE_GAP = 1e-3
 # the lambda_max Lanczos: tolerance as a factor of rel_tol, steps between two
 # looks at the top Ritz pair, and its step cap as a multiple of the order
 _LA_TOL_FACTOR, _LA_CHECK_EVERY, _LA_STEPS_PER_ORDER = 0.1, 10, 4
+# plain Lanczos returns lambda_min too, with no factorization, when the
+# Gershgorin bound on lambda_max is at most this multiple of a proven lower
+# bound on lambda_min, so that kappa is at most this (the measured crossover
+# in the module docstring)
+_LANCZOS_KAPPA_MAX = 16.0
 # ARPACK's Lanczos basis size and tolerance, as a factor of rel_tol, for the
 # shift-invert lambda_min solve
 _LM_NCV, _LM_TOL_FACTOR = 32, 1e-2
@@ -93,7 +110,8 @@ def extreme_eigenvalues(mat, rel_tol=1e-8, lower_bound=0.0, inverse=None):
     """Extreme eigenvalues of a sparse SPD matrix.
 
     lambda_min comes from ARPACK's Lanczos on the inverted operator (one
-    sparse factorization, then solves).  lambda_max comes from plain
+    sparse factorization, then solves), unless ``lower_bound`` proves kappa
+    small (see below).  lambda_max comes from plain
     Lanczos on the matrix itself, with no reorthogonalization and no stored
     basis, except for a tridiagonal matrix, where LAPACK bisection plus
     inverse iteration (``stebz`` + ``stein``) returns the top eigenpair
@@ -112,10 +130,14 @@ def extreme_eigenvalues(mat, rel_tol=1e-8, lower_bound=0.0, inverse=None):
     rel_tol : float
         Requested relative accuracy, in (0, 1e-4].
     lower_bound : float
-        A proven lower bound on lambda_min, at least 0.  The shift-invert
-        pole goes just below it: the closer the pole is to lambda_min, the
-        faster Lanczos on the inverted operator converges (Ericsson & Ruhe
-        1980).  A lambda_min below it is never accepted.
+        A proven lower bound on lambda_min, at least 0.  If it is positive,
+        the matrix is not tridiagonal and the Gershgorin bound on lambda_max
+        is at most ``_LANCZOS_KAPPA_MAX`` times it, one plain Lanczos run
+        returns both extremes, with no factorization and ``inverse`` unused.
+        Otherwise the shift-invert pole goes just below it: the closer the
+        pole is to lambda_min, the faster Lanczos on the inverted operator
+        converges (Ericsson & Ruhe 1980).  A lambda_min below it is never
+        accepted.
     inverse : callable, optional
         ``x -> mat^-1 x``, applied by the lambda_min solve in place of a
         factorization of its own (see :func:`shared_inverses`).  It fixes
@@ -139,14 +161,20 @@ def extreme_eigenvalues(mat, rel_tol=1e-8, lower_bound=0.0, inverse=None):
         return _checked_result(a, (w[0], v[:, 0]), (w[-1], v[:, -1]), rel_tol, lower_bound)
     # seeded, so that a result does not depend on which other solves run
     start = np.random.default_rng(0).standard_normal(n)
-    if _is_tridiagonal(a):
+    tol = rel_tol * _LA_TOL_FACTOR
+    tridiagonal = _is_tridiagonal(a)
+    if (not tridiagonal and 0.0 < lower_bound
+            and _gershgorin(a) <= _LANCZOS_KAPPA_MAX * lower_bound):
+        largest, smallest = _lanczos_eigenpairs(a, start, tol, bottom=True)
+        return _checked_result(a, smallest, largest, rel_tol, lower_bound)
+    if tridiagonal:
         with _lapack("eigh_tridiagonal"):
             wmax, vmax = scipy.linalg.eigh_tridiagonal(
                 a.diagonal(), a.diagonal(1), select="i", select_range=(n - 1, n - 1),
             )
         largest = wmax[0], vmax[:, 0]
     else:
-        largest = _top_eigenpair(a, start, rel_tol * _LA_TOL_FACTOR)
+        (largest,) = _lanczos_eigenpairs(a, start, tol)
     sigma = 0.0 if inverse is not None else lower_bound * (1.0 - _POLE_GAP)
     solve = inverse or _shifted_inverse(a, sigma)
     smallest = _smallest_eigenpair(a, start, sigma, solve, rel_tol * _LM_TOL_FACTOR)
@@ -198,39 +226,58 @@ def _lanczos_steps(a, q):
         q_prev, q = q, w / beta
 
 
-def _top_eigenpair(a, start, tol):
-    """Largest eigenpair of a symmetric matrix by two-pass plain Lanczos.
+def _gershgorin(a):
+    """max_i sum_j |a_ij|, an upper bound on every |eigenvalue| of A."""
+    return float(abs(a).sum(axis=1).max())
 
-    Every ``_LA_CHECK_EVERY`` steps the first pass takes the top Ritz pair
-    (theta, s) of the tridiagonal T_k and stops once ||A y - theta y|| =
-    beta_k |s_k| is at most ``tol * theta``.  It stops at once when beta_k
-    <= tol * max |alpha_j|, which implies that (theta >= alpha_j, |s_k| <= 1)
-    and covers a breakdown, beta_k = 0.  The second pass regenerates the same
-    q_j and sums y = sum_j s_j q_j, so no basis is stored.  Raises
-    ConvergenceError after ``_LA_STEPS_PER_ORDER`` times the order steps.
+
+def _lanczos_eigenpairs(a, start, tol, bottom=False):
+    """Extreme eigenpairs of a symmetric matrix by two-pass plain Lanczos.
+
+    Returns the largest pair, then the smallest one if ``bottom``.  Every
+    ``_LA_CHECK_EVERY`` steps the first pass takes those Ritz pairs
+    (theta, s) of the tridiagonal T_k and stops once each has ||A y - theta
+    y|| = beta_k |s_k| at most ``tol * |theta|``.  It looks at once when
+    beta_k <= tol * max |alpha_j|, which for the top pair implies the test
+    (theta >= alpha_j, |s_k| <= 1) and covers a breakdown, beta_k = 0.  The
+    second pass regenerates the same q_j and sums every y = sum_j s_j q_j in
+    one sweep, so no basis is stored.  Raises ConvergenceError, naming each
+    end that missed the test, after ``_LA_STEPS_PER_ORDER`` times the order
+    steps.
     """
     q1 = start / np.linalg.norm(start)
     cap = _LA_STEPS_PER_ORDER * a.shape[0]
+    # each end's index in the spectrum of T_k
+    ends = {"lambda_max": -1, "lambda_min": 0} if bottom else {"lambda_max": -1}
     alphas, betas, scale = [], [], 0.0
     for _, alpha, beta in _lanczos_steps(a, q1):
         alphas.append(alpha)
         betas.append(beta)
         scale = max(scale, abs(alpha))
         k = len(alphas)
-        if beta <= tol * scale or k % _LA_CHECK_EVERY == 0:
-            with _lapack("eigh_tridiagonal"):
-                w, v = scipy.linalg.eigh_tridiagonal(
-                    alphas, betas[:-1], select="i", select_range=(k - 1, k - 1))
-            theta, s = w[0], v[:, 0]
-            if beta * abs(s[-1]) <= tol * abs(theta):
+        if beta <= tol * scale or k % _LA_CHECK_EVERY == 0 or k >= cap:
+            pairs = [_ritz_pair(alphas, betas[:-1], i % k) for i in ends.values()]
+            missed = [name for name, (theta, s) in zip(ends, pairs)
+                      if beta * abs(s[-1]) > tol * abs(theta)]
+            if not missed:
                 break
-        if k >= cap:
-            raise ConvergenceError(f"Lanczos for lambda_max did not converge in {k} steps")
-    vec = np.zeros_like(q1)
-    # zip takes s first, so the recurrence is not advanced past step k
-    for sj, (q, _, _) in zip(s, _lanczos_steps(a, q1)):
-        vec += sj * q
-    return theta, vec / np.linalg.norm(vec)
+            if k >= cap:
+                raise ConvergenceError(f"Lanczos for {' and '.join(missed)} "
+                                       f"did not converge in {k} steps")
+    vecs = [np.zeros_like(q1) for _ in pairs]
+    # zip takes the s_j first, so the recurrence is not advanced past step k
+    for sj, (q, _, _) in zip(zip(*(s for _, s in pairs)), _lanczos_steps(a, q1)):
+        for vec, c in zip(vecs, sj):
+            vec += c * q
+    return [(theta, vec / np.linalg.norm(vec)) for (theta, _), vec in zip(pairs, vecs)]
+
+
+def _ritz_pair(alphas, betas, i):
+    """Eigenpair i, counted from the bottom, of the tridiagonal T_k."""
+    with _lapack("eigh_tridiagonal"):
+        w, v = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i",
+                                             select_range=(i, i))
+    return w[0], v[:, 0]
 
 
 def _lanczos_maxiter(n, ncv):

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -184,8 +185,9 @@ class TestAnalyze:
         code = run(["analyze", "--mesh", str(mesh_path),
                     "--csv", str(tmp_path / "r.csv")])
         assert code == 0
-        # the calibration (uniform n=8), the stiffness pair and the mass matrix
-        assert splu_calls == [(7 ** 3, 7 ** 3)] * 3
+        # the calibration (uniform n=8) and the stiffness pair; the mass
+        # matrix's Wathen bound proves kappa(B) small, so it gets no LU
+        assert splu_calls == [(7 ** 3, 7 ** 3)] * 2
 
     def test_overflowing_field_exits_one(self, tmp_path, capsys):
         code = run(["analyze", "--mesh", str(_skew_mesh(tmp_path)),
@@ -394,6 +396,51 @@ class TestMeshFileChecks:
         assert run(["analyze", "--mesh", str(mesh_path),
                     "--csv", str(tmp_path / "r.csv")]) == 0
         assert len(calls) == 1
+
+
+def _ill_scaled(make, vertex, axis, value):
+    """Edit of a generated mesh file that sets one vertex coordinate to ``value``."""
+    def edit(path):
+        write_mesh(make(), path)
+        lines = path.read_text().splitlines()
+        tokens = lines[1 + vertex].split()
+        tokens[axis] = value
+        lines[1 + vertex] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+    return edit
+
+
+class TestIllScaledElements:
+    """A vertex moved to 1e-320 or 1e308 leaves a valid mesh whose element
+    geometry does not fit in floating point; it exits 1 naming the element."""
+
+    @pytest.mark.parametrize("edit, message", [
+        # vertex 7, (1, 1/3), moved to (1, 1e-320): |K| = 1.67e-321
+        (_ill_scaled(lambda: generate_uniform_mesh(2, 3), 7, 1, "1e-320"),
+         "element 4 of the mesh is too ill-scaled for floating point "
+         "(volume 1.67e-321, Jacobian inverse not finite)"),
+        (_ill_scaled(lambda: generate_uniform_mesh(2, 3), 1, 0, "1e-320"),
+         "element 0 of the mesh is too ill-scaled for floating point "
+         "(volume 1.67e-321, Jacobian inverse not finite)"),
+        (_ill_scaled(lambda: generate_uniform_mesh(2, 3), 15, 0, "1e308"),
+         "element 16 of the mesh is too ill-scaled for floating point "
+         "(volume 0.0556, Jacobian inverse not finite)"),
+        (_ill_scaled(lambda: generate_uniform_mesh(3, 2), 26, 2, "1e308"),
+         "element 43 of the mesh is too ill-scaled for floating point "
+         "(volume 0.0208, Jacobian inverse not finite)"),
+    ], ids=["uniform2d-v7-1e-320", "uniform2d-v1-1e-320", "uniform2d-v15-1e308",
+            "uniform3d-v26-1e308"])
+    def test_exits_one_naming_the_element(self, tmp_path, capsys, edit, message):
+        mesh_path = tmp_path / "m.msh"
+        edit(mesh_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["analyze", "--mesh", str(mesh_path),
+                        "--csv", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"meshcond: error: {message}\n"
+        assert caught == []
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestStudy:

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 
+from meshcond.assembly import alt_scaling
+from meshcond.bounds import (
+    CalibrationConstant,
+    lambda_max_geometric_bound,
+    m_uniform_bound,
+    quality_measures,
+)
 from meshcond.diffusion import (
     FieldError,
     _tensors_at,
@@ -14,6 +21,7 @@ from meshcond.diffusion import (
     spd_norm2,
 )
 from meshcond.mesh import (
+    DegenerateElementError,
     SimplicialMesh,
     generate_skew_mesh_2d,
     generate_uniform_mesh,
@@ -218,3 +226,35 @@ class TestMappedMetric:
         )
         mats = mapped_metric_tensors(mesh, identity_field(2))
         assert mats[0] == pytest.approx(np.diag([0.25, 4.0]), abs=1e-13)
+
+
+class TestGeometryChecks:
+    """Per-element geometry that overflows is named, blaming the mesh or the
+    field, and numpy's RuntimeWarning does not escape (it is an error here)."""
+
+    def test_ill_scaled_element_blames_the_mesh(self):
+        mesh = generate_uniform_mesh(2, 3)
+        verts = np.array(mesh.vertices)
+        verts[7] = (1.0, 1e-320)  # a valid mesh whose element 4 has |K| = 1.67e-321
+        mesh = SimplicialMesh(dim=2, vertices=verts, elements=mesh.elements)
+        with pytest.raises(DegenerateElementError,
+                           match=r"^element 4 of the mesh is too ill-scaled"):
+            mapped_metric_tensors(mesh, identity_field(2))
+
+    @pytest.mark.parametrize("estimate, name", [
+        (lambda mesh, field: quality_measures(mesh, field), "M_K"),
+        (lambda mesh, field: lambda_max_geometric_bound(mesh, field), "M_K"),
+        (lambda mesh, field: alt_scaling(mesh, field), "M_K"),
+        (lambda mesh, field: mapped_metric_tensors(mesh, field), "M_K"),
+        (lambda mesh, field: m_uniform_bound(
+            mesh, field, np.broadcast_to(np.eye(2), (mesh.n_elements, 2, 2)),
+            CalibrationConstant(c=1.0, dim=2, n_ref=4, field=field.spec, provenance="test")),
+         "M_K D_K"),
+    ], ids=["quality_measures", "lambda_max_geometric_bound", "alt_scaling",
+            "mapped_metric_tensors", "m_uniform_bound"])
+    def test_overflowing_field_blames_the_field(self, estimate, name):
+        # these never assemble the stiffness, whose own check names the field
+        field = rotated_anisotropic_field(1e308, 1.0)
+        with pytest.raises(FieldError, match=f"^{name} of element 0 is not finite: "
+                                             "the diffusion field overflows on this mesh$"):
+            estimate(generate_uniform_mesh(2, 4), field)

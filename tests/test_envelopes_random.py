@@ -4,7 +4,9 @@ The envelopes are theorems for arbitrary conforming simplicial meshes:
 lambda_max(A) in [max A_jj, (d+1) max A_jj], lambda_max(S^-1 A S^-1) in
 [1, d+1], kappa(B) in [r, (d+2) r] and kappa(S^-1 B S^-1) <= d+2, the last
 from Wathen's element-wise bound 1/2 <= lambda(S^-1 B S^-1) <= (d+2)/2
-(Wathen 1987), whose lower half also places the pole of the mass solve.  So
+(Wathen 1987), whose lower half is the proven bound that picks the mass
+solve's path: plain Lanczos on B when the Gershgorin bound over it is
+small, the shift-invert pole just below it otherwise.  So
 are the geometric bounds lambda_max(A) <= patchwise <= quality form, van
 der Sluis's kappa(S^-1 A S^-1) <= m kappa(D A D) for every positive
 diagonal D (Numer. Math. 14, 1969; m is the most nonzeros in a row of A),
@@ -40,6 +42,7 @@ from meshcond.diffusion import (
 )
 from meshcond.experiments import outside_envelope
 from meshcond.mesh import SimplicialMesh, generate_chebyshev_mesh, generate_uniform_mesh
+import meshcond.spectral as spectral
 from meshcond.spectral import extreme_eigenvalues
 
 SEEDS = range(6)
@@ -146,6 +149,27 @@ def test_mass_pole_at_wathen_bound(dim, seed):
     assert shifted.lambda_min == pytest.approx(lmin, rel=1e-10)
     with pytest.raises(ValueError, match="below its proven lower bound"):
         extreme_eigenvalues(mass, lower_bound=lmin * (1.0 + 1e-4))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("make", [jittered_mesh, graded_mesh],
+                         ids=["jittered", "graded"])
+def test_mass_lambda_min_same_on_both_paths(monkeypatch, make, dim, seed):
+    """Plain Lanczos on B and the pole at min_j B_jj / 2 give one lambda_min(B).
+
+    The Gershgorin bound over Wathen's decides the path; it is moved here so
+    that each mesh takes both.  1D matrices are tridiagonal and always take
+    the pole.
+    """
+    rng = np.random.default_rng([seed, dim, make is graded_mesh, 6])
+    mass = assemble_mass(make(rng, dim))
+    bound = 0.5 * mass.diagonal().min()
+    lmin = {}
+    for path, kappa_max in (("lanczos", np.inf), ("pole", 0.0)):
+        monkeypatch.setattr(spectral, "_LANCZOS_KAPPA_MAX", kappa_max)
+        lmin[path] = extreme_eigenvalues(mass, lower_bound=bound).lambda_min
+    assert lmin["lanczos"] == pytest.approx(lmin["pole"], rel=1e-10)
 
 
 def theorem_failures(mesh, rng):

@@ -15,6 +15,7 @@ from meshcond.diffusion import identity_field, rotated_anisotropic_field
 from meshcond.mesh import (
     generate_chebyshev_mesh,
     generate_skew_mesh_2d,
+    generate_skew_mesh_3d,
     generate_uniform_mesh,
 )
 import meshcond.spectral as spectral
@@ -128,10 +129,13 @@ class TestExtremeEigenvalues:
             extreme_eigenvalues(a, 1e-8)
 
 
-# mass matrices on the Lanczos, tridiagonal and dense paths
+# mass matrices on the two-ended Lanczos, tridiagonal and dense paths
 MASS_MESHES = {
     "skew2d": lambda: generate_skew_mesh_2d(16, 8.0),
+    "skew3d": lambda: generate_skew_mesh_3d(8, 25.0),
+    "uniform1d": lambda: generate_uniform_mesh(1, 300),
     "uniform2d": lambda: generate_uniform_mesh(2, 24),
+    "uniform3d": lambda: generate_uniform_mesh(3, 8),
     "chebyshev": lambda: generate_chebyshev_mesh(512),
     "dense": lambda: generate_uniform_mesh(2, 6),
 }
@@ -142,30 +146,35 @@ def _wathen_bound(mass):
 
 
 class TestLowerBound:
-    """A proven lower bound on lambda_min moves the shift-invert pole up to it."""
+    """A proven lower bound on lambda_min either proves kappa small, and plain
+    Lanczos returns both ends, or moves the shift-invert pole up to it."""
 
     @pytest.mark.parametrize("case", ["skew2d", "uniform2d", "chebyshev", "dense"])
     def test_shifted_solve_agrees(self, monkeypatch, splu_calls, case):
         mass = assemble_mass(MASS_MESHES[case]())
         bound = _wathen_bound(mass)
         direct = extreme_eigenvalues(mass, 1e-8)
-        poles = []
-        real = spectral.spla.eigsh
-
-        def recorded(*args, **kwargs):
-            poles.append(kwargs.get("sigma"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(spectral.spla, "eigsh", recorded)
+        calls = _eigsh_calls(monkeypatch)
         shifted = extreme_eigenvalues(mass, 1e-8, lower_bound=bound)
         assert shifted.lambda_min == pytest.approx(direct.lambda_min, rel=1e-12)
-        assert shifted.lambda_max == direct.lambda_max
         assert shifted.lambda_min >= bound
-        if mass.shape[0] > 64:
-            sigma = [p for p in poles if p is not None]
-            assert len(sigma) == 1 and 0.99 * bound < sigma[0] < bound
-        # one LU per solve, each made by spectral, none by ARPACK
-        assert splu_calls == ([mass.shape] * 2 if mass.shape[0] > 64 else [])
+        if case == "dense":
+            assert mass.shape[0] <= 64 and calls == [] and splu_calls == []
+            assert shifted.lambda_max == direct.lambda_max
+        elif case == "chebyshev":
+            # a pole just below the bound, and one LU per solve, none by ARPACK
+            (pole,) = calls
+            assert 0.99 * bound < pole["sigma"] < bound
+            assert splu_calls == [mass.shape] * 2
+            assert shifted.lambda_max == direct.lambda_max
+        else:
+            # kappa is proven small: no pole and no LU; only the direct solve factors
+            assert spectral._gershgorin(mass) <= spectral._LANCZOS_KAPPA_MAX * bound
+            assert calls == [] and splu_calls == [mass.shape]
+            eigs = scipy.linalg.eigvalsh(mass.toarray())
+            assert shifted.lambda_max == pytest.approx(direct.lambda_max, rel=1e-12)
+            assert shifted.lambda_max == pytest.approx(eigs[-1], rel=1e-10)
+            assert shifted.lambda_min == pytest.approx(eigs[0], rel=1e-10)
 
     @pytest.mark.parametrize("case", ["skew2d", "chebyshev", "dense"])
     def test_bound_above_lambda_min_raises(self, case):
@@ -280,7 +289,7 @@ class TestPlainLanczos:
         start[0] = 2.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            lam, vec = spectral._top_eigenpair(a, start, 1e-9)
+            ((lam, vec),) = spectral._lanczos_eigenpairs(a, start, 1e-9)
         assert lam == 1.0
         assert np.array_equal(vec, start / 2.0)
 
@@ -293,17 +302,22 @@ class TestPlainLanczos:
 
     def test_starts_from_the_seeded_vector(self, monkeypatch):
         starts = []
-        real = spectral._top_eigenpair
+        real = spectral._lanczos_eigenpairs
 
-        def recorded(a, start, tol):
-            starts.append(start)
-            return real(a, start, tol)
+        def recorded(a, start, tol, bottom=False):
+            starts.append((start, tol, bottom))
+            return real(a, start, tol, bottom)
 
-        monkeypatch.setattr(spectral, "_top_eigenpair", recorded)
+        monkeypatch.setattr(spectral, "_lanczos_eigenpairs", recorded)
         a = assemble_stiffness(generate_skew_mesh_2d(16, 8.0), identity_field(2))
         extreme_eigenvalues(a, 1e-8)
-        (start,) = starts
-        assert np.array_equal(start, np.random.default_rng(0).standard_normal(a.shape[0]))
+        mass = assemble_mass(generate_skew_mesh_2d(16, 8.0))
+        extreme_eigenvalues(mass, 1e-8, lower_bound=_wathen_bound(mass))
+        seeded = np.random.default_rng(0).standard_normal(a.shape[0])
+        # the stiffness asks for the top pair only, the mass for both ends
+        assert [(tol, bottom) for _, tol, bottom in starts] == [(1e-9, False), (1e-9, True)]
+        for start, _, _ in starts:
+            assert np.array_equal(start, seeded)
 
     def test_step_cap_raises(self, monkeypatch):
         a = assemble_stiffness(generate_skew_mesh_2d(16, 8.0), identity_field(2))
@@ -328,6 +342,75 @@ class TestPlainLanczos:
             assert np.isnan(getattr(row, name)) and np.isnan(getattr(row, name + "_scaled"))
         assert row.est_kappa == ok.est_kappa
         assert row.est_kappa_scaled == ok.est_kappa_scaled
+
+
+class TestTwoEndedLanczos:
+    """A mass matrix whose Wathen bound proves kappa small gets both extremes
+    from one plain Lanczos run: no LU and no ARPACK."""
+
+    @pytest.mark.parametrize("case", ["uniform1d", "uniform2d", "uniform3d", "skew2d", "skew3d"])
+    def test_mass_extremes_match_dense(self, monkeypatch, splu_calls, case):
+        mass = assemble_mass(MASS_MESHES[case]())
+        bound = _wathen_bound(mass)
+        assert mass.shape[0] > 64
+        calls = _eigsh_calls(monkeypatch)
+        result = extreme_eigenvalues(mass, 1e-8, lower_bound=bound)
+        eigs = scipy.linalg.eigvalsh(mass.toarray())
+        assert result.lambda_min == pytest.approx(eigs[0], rel=1e-10)
+        assert result.lambda_max == pytest.approx(eigs[-1], rel=1e-10)
+        assert 0.0 < result.rel_tol_achieved <= 1e-8
+        # (d+2) r, the paper's upper bound on kappa(B), is the proven bound
+        d = int(case[-2])
+        assert spectral._gershgorin(mass) / bound == pytest.approx(
+            (d + 2) * mass.diagonal().max() / mass.diagonal().min(), rel=1e-12)
+        if case == "uniform1d":
+            # a tridiagonal matrix keeps LAPACK's top pair and its cheap LU
+            assert [c["sigma"] for c in calls] == [bound * (1.0 - spectral._POLE_GAP)]
+            assert splu_calls == [mass.shape]
+        else:
+            assert calls == [] and splu_calls == []
+
+    @pytest.mark.parametrize("permuted", [False, True], ids=["tridiagonal", "permuted"])
+    def test_graded_mass_keeps_the_pole(self, monkeypatch, splu_calls, permuted):
+        mass = assemble_mass(generate_chebyshev_mesh(1024))
+        bound = _wathen_bound(mass)
+        assert spectral._gershgorin(mass) > spectral._LANCZOS_KAPPA_MAX * bound
+        if permuted:
+            perm = np.random.default_rng(17).permutation(mass.shape[0])
+            mass = mass[perm][:, perm].tocsr()
+        calls = _eigsh_calls(monkeypatch)
+        result = extreme_eigenvalues(mass, 1e-8, lower_bound=bound)
+        (pole,) = calls
+        assert 0.99 * bound < pole["sigma"] < bound
+        assert splu_calls == [mass.shape]
+        eigs = scipy.linalg.eigvalsh(mass.toarray())
+        assert result.lambda_min == pytest.approx(eigs[0], rel=1e-10)
+
+    @pytest.mark.parametrize("steps, ends", [(12, "lambda_max and lambda_min"),
+                                             (60, "lambda_min")])
+    def test_step_cap_names_the_end(self, monkeypatch, steps, ends):
+        mass = assemble_mass(MASS_MESHES["skew3d"]())
+        monkeypatch.setattr(spectral, "_LA_STEPS_PER_ORDER", steps / mass.shape[0])
+        with pytest.raises(ConvergenceError,
+                           match=f"^Lanczos for {ends} did not converge in {steps} steps$"):
+            extreme_eigenvalues(mass, 1e-8, lower_bound=_wathen_bound(mass))
+
+    def test_no_extra_tridiagonal_solve_for_the_top_pair(self, monkeypatch):
+        ranges = []
+        real = spectral.scipy.linalg.eigh_tridiagonal
+
+        def recorded(*args, **kwargs):
+            ranges.append(kwargs["select_range"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.scipy.linalg, "eigh_tridiagonal", recorded)
+        mesh = generate_skew_mesh_2d(16, 8.0)
+        extreme_eigenvalues(assemble_stiffness(mesh, identity_field(2)), 1e-8)
+        assert ranges and all(lo == hi > 0 for lo, hi in ranges)
+        ranges.clear()
+        mass = assemble_mass(mesh)
+        extreme_eigenvalues(mass, 1e-8, lower_bound=_wathen_bound(mass))
+        assert ranges[1::2] == [(0, 0)] * (len(ranges) // 2)
 
 
 def _cheb_1024():
