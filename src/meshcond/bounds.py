@@ -264,7 +264,7 @@ def _log_factor_scaled(geom):
         return 1.0
     norms = geom.mk_norm
     ratio = norms.max() / float(np.sum(geom.vols * norms))
-    return 1.0 + abs(math.log(ratio))
+    return 1.0 + abs(math.log(ratio)) if ratio > 0.0 else math.inf
 
 
 def lambda_min_bound(mesh, field, cal, scaled=False):
@@ -281,13 +281,14 @@ def lambda_min_bound(mesh, field, cal, scaled=False):
 
 def _lambda_min_bound(geom, d_min, cal, scaled):
     d, n = geom.dim, geom.n_elements
-    if not scaled:
-        return cal.c * d_min / n / _volume_factor(geom.vols, d)
-    return (
-        cal.c * n ** (-2.0 / d)
-        / _d_factor_scaled(geom, d_min)
-        / _log_factor_scaled(geom)
-    )
+    with np.errstate(all="ignore"):  # an estimate that does not fit is named below
+        est = (cal.c * n ** (-2.0 / d) / _d_factor_scaled(geom, d_min)
+               / _log_factor_scaled(geom) if scaled
+               else cal.c * d_min / n / _volume_factor(geom.vols, d))
+    if not 0.0 < est < math.inf:
+        raise ValueError("the mesh is too ill-scaled for floating point "
+                         f"({'scaled ' if scaled else ''}lambda_min estimate {est:.3g})")
+    return est
 
 
 def _eigenvalues_or_none(mat, rel_tol, inverse):

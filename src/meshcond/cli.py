@@ -1,14 +1,15 @@
 """Command line interface: generate meshes, analyze them, run studies.
 
 Exit codes: 0 on success, 1 on usage, input or I/O errors, when memory
-runs out and when an eigensolver does not converge, 2 when an exact value
-falls outside one of the two-sided envelopes.
+runs out, a study worker dies or an eigensolver does not converge, 2 when
+an exact value falls outside one of the two-sided envelopes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 
 from .assembly import assemble_mass
 from .bounds import calibrate_constant, mass_condition_bounds
@@ -156,7 +157,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, ConvergenceError, MemoryError) as exc:
+    except (OSError, ValueError, ConvergenceError, MemoryError, BrokenExecutor) as exc:
         print(f"meshcond: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

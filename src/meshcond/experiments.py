@@ -9,7 +9,10 @@ and checks the two-sided envelopes inline.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -326,22 +329,53 @@ def resolve_calibration(spec, dim, field):
     return cal
 
 
+def _study_rows(cfg, field, cal, values):
+    """(row, violation messages) of each value in order; an error ends the list."""
+    done = []
+    try:
+        for value in values:
+            mesh, n, aspect = _build_mesh(cfg, value)
+            row, bad = analyze_mesh(mesh, field, cal, cfg.tol, n, aspect)
+            done.append((row, [f"{cfg.case} n={n} aspect={aspect}: {msg}" for msg in bad]))
+    except Exception as exc:
+        done.append(exc)
+    return done
+
+
+def _os_threads():
+    """Threads of this process, BLAS threads included; 0 if /proc does not list them."""
+    task = "/proc/self/task"
+    return len(os.listdir(task)) if os.path.isdir(task) else 0
+
+
 def run_study(cfg):
-    """Run a study; returns (rows, envelope violation messages)."""
+    """Run a study; returns (rows, envelope violation messages) as a serial run
+    would.  After calibrating, a single-threaded process computes the rows in
+    up to len(os.sched_getaffinity(0)) forked processes; any other thread,
+    such as a multi-threaded BLAS's, would compete with the workers or be
+    copied into them mid-call, so then the rows run here alone."""
     _check_config(cfg)
     dim = study_dimension(cfg)
     field = parse_field_spec(cfg.field, dim)
     cal = resolve_calibration(cfg.calibration, dim, field)
+    values = _sweep(cfg)
+    single = _os_threads() == 1 and hasattr(os, "sched_getaffinity")
+    p = min(len(values), len(os.sched_getaffinity(0)) if single else 1)
+    if p == 1:
+        parts = [_study_rows(cfg, field, cal, values)]
+    else:  # this process computes values[0::p], worker k values[k::p]
+        with ProcessPoolExecutor(p - 1, mp_context=get_context("fork")) as pool:
+            futures = [pool.submit(_study_rows, cfg, field, cal, values[k::p])
+                       for k in range(1, p)]
+            parts = [_study_rows(cfg, field, cal, values[::p])]
+            parts += [future.result() for future in futures]
     rows, violations = [], []
-    for value in _sweep(cfg):
-        mesh, n_label, aspect_label = _build_mesh(cfg, value)
-        row, bad = analyze_mesh(
-            mesh, field, cal, tol=cfg.tol, n_label=n_label, aspect_label=aspect_label
-        )
-        rows.append(row)
-        violations.extend(
-            f"{cfg.case} n={n_label} aspect={aspect_label}: {msg}" for msg in bad
-        )
+    for i in range(len(values)):
+        item = parts[i % p][i // p]  # a part's error precedes its missing rows
+        if isinstance(item, Exception):
+            raise item
+        rows.append(item[0])
+        violations += item[1]
     return rows, violations
 
 

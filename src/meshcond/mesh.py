@@ -236,7 +236,8 @@ def reference_gradient_bound(dim):
 def _signed_volumes(vertices, elements, dim):
     pts = vertices[elements]  # (ne, d+1, d)
     edges = pts[:, 1:, :] - pts[:, :1, :]
-    return np.linalg.det(edges) / math.factorial(dim)
+    with np.errstate(all="ignore"):  # a volume that is not finite is named by the caller
+        return np.linalg.det(edges) / math.factorial(dim)
 
 
 def element_volumes(mesh):

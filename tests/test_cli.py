@@ -8,6 +8,7 @@ from meshcond import cli
 from meshcond.experiments import load_calibration
 from meshcond.mesh import (
     element_volumes,
+    generate_chebyshev_mesh,
     generate_skew_mesh_2d,
     generate_skew_mesh_3d,
     generate_uniform_mesh,
@@ -410,9 +411,14 @@ def _ill_scaled(make, vertex, axis, value):
     return edit
 
 
+_TOO_WIDE = ("the mesh is too ill-scaled for floating point "
+             "(scaled lambda_min estimate 0)")
+
+
 class TestIllScaledElements:
-    """A vertex moved to 1e-320 or 1e308 leaves a valid mesh whose element
-    geometry does not fit in floating point; it exits 1 naming the element."""
+    """A vertex moved to 1e-320 or 1e308 leaves a mesh whose element geometry
+    or whose estimates do not fit in floating point; it exits 1 naming the
+    element or blaming the mesh's scale."""
 
     @pytest.mark.parametrize("edit, message", [
         # vertex 7, (1, 1/3), moved to (1, 1e-320): |K| = 1.67e-321
@@ -428,8 +434,18 @@ class TestIllScaledElements:
         (_ill_scaled(lambda: generate_uniform_mesh(3, 2), 26, 2, "1e308"),
          "element 43 of the mesh is too ill-scaled for floating point "
          "(volume 0.0208, Jacobian inverse not finite)"),
+        # a boundary vertex moved far out stretches the domain, not one element:
+        # the geometry fits, but the scaled lambda_min estimate underflows to 0
+        (_ill_scaled(lambda: generate_chebyshev_mesh(8), 8, 0, "1e308"), _TOO_WIDE),
+        (_ill_scaled(lambda: generate_chebyshev_mesh(8), 0, 0, "-1e308"), _TOO_WIDE),
+        (_ill_scaled(lambda: generate_uniform_mesh(3, 2), 2, 0, "1e308"), _TOO_WIDE),
+        (_ill_scaled(lambda: generate_uniform_mesh(2, 3), 3, 0, "1e308"), _TOO_WIDE),
+        # the determinant of the edge matrix divides by zero inside numpy
+        (_ill_scaled(lambda: generate_uniform_mesh(2, 3), 5, 0, "1e-320"),
+         "element 1 is degenerate (volume -0.0)"),
     ], ids=["uniform2d-v7-1e-320", "uniform2d-v1-1e-320", "uniform2d-v15-1e308",
-            "uniform3d-v26-1e308"])
+            "uniform3d-v26-1e308", "chebyshev8-v8-1e308", "chebyshev8-v0--1e308",
+            "uniform3d-v2-1e308", "uniform2d-v3-1e308", "uniform2d-v5-1e-320"])
     def test_exits_one_naming_the_element(self, tmp_path, capsys, edit, message):
         mesh_path = tmp_path / "m.msh"
         edit(mesh_path)

@@ -1,11 +1,19 @@
 import csv
 import dataclasses
+import math
+import multiprocessing
+import os
 import re
+import signal
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from meshcond import cli, experiments
+from meshcond.bounds import CalibrationConstant
+from meshcond.diffusion import FieldError
 from meshcond.experiments import (
     CSV_COLUMNS,
     StudyConfig,
@@ -14,6 +22,7 @@ from meshcond.experiments import (
     load_calibration,
     parse_study_config,
     run_study,
+    save_calibration,
     study_dimension,
     write_study_csv,
 )
@@ -221,6 +230,173 @@ class TestRunStudy:
                     assert a == pytest.approx(b, rel=1e-8)
                 else:
                     assert a == b
+
+
+def _use_cpus(monkeypatch, n):
+    """Make this process see ``n`` usable CPUs and one thread (whatever its
+    BLAS runs), so a study forks n - 1 workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    monkeypatch.setattr(experiments, "_os_threads", lambda: 1)
+
+
+def _same_value(a, b):
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+def _run_with_cpus(monkeypatch, cfg, n):
+    _use_cpus(monkeypatch, n)
+    try:
+        return run_study(cfg)
+    finally:
+        assert multiprocessing.active_children() == []
+
+
+def _refuse_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+
+
+def _failing_values(monkeypatch, failures):
+    """Make the row of each sweep value in ``failures`` raise FieldError(message)."""
+    build = experiments._build_mesh
+
+    def failing_build(cfg, value):
+        if value in failures:
+            raise FieldError(failures[value])
+        return build(cfg, value)
+
+    monkeypatch.setattr(experiments, "_build_mesh", failing_build)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the parallel study forks its workers")
+class TestParallelStudy:
+    """With 2 usable CPUs the study forks one worker, which computes every
+    second row; rows, messages and errors are those of the serial run."""
+
+    @pytest.mark.parametrize("cfg", [
+        StudyConfig(case="skew2d-aspect", n=8, aspect_values=(4.0, 16.0, 64.0),
+                    field="rotated:1000,1"),
+        StudyConfig(case="chebyshev", n_values=(16, 32, 64, 128)),
+    ], ids=["skew2d-aspect", "chebyshev"])
+    def test_rows_and_violations_match_serial(self, monkeypatch, cfg):
+        # one fabricated violation per row, so their order is checked too
+        monkeypatch.setattr(experiments, "envelope_violations",
+                            lambda report: [f"N={report.n_elements}"])
+        serial_rows, serial_violations = _run_with_cpus(monkeypatch, cfg, 1)
+        rows, violations = _run_with_cpus(monkeypatch, cfg, 2)
+        assert len(rows) == len(serial_rows) == len(experiments._sweep(cfg))
+        for row, serial in zip(rows, serial_rows):
+            for column in CSV_COLUMNS:
+                assert _same_value(getattr(row, column), getattr(serial, column)), column
+        assert violations == serial_violations
+        assert len(violations) == len(rows)
+
+    def test_worker_computes_every_second_row(self, monkeypatch):
+        monkeypatch.setattr(experiments, "envelope_violations",
+                            lambda report: [str(os.getpid())])
+        cfg = StudyConfig(case="chebyshev", n_values=(16, 32, 64, 128))
+        _, violations = _run_with_cpus(monkeypatch, cfg, 2)
+        pids = [int(v.rpartition(": ")[2]) for v in violations]
+        assert pids[0] == pids[2] == os.getpid()
+        assert pids[1] == pids[3] != os.getpid()
+
+    def test_one_cpu_forks_nothing(self, monkeypatch):
+        _refuse_pool(monkeypatch)
+        rows, _ = _run_with_cpus(monkeypatch, StudyConfig(case="chebyshev",
+                                                          n_values=(16, 32)), 1)
+        assert [r.n for r in rows] == [16, 32]
+
+    def test_no_affinity_call_runs_serially(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        _refuse_pool(monkeypatch)
+        rows, _ = run_study(StudyConfig(case="chebyshev", n_values=(16, 32)))
+        assert [r.n for r in rows] == [16, 32]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="threads are counted from /proc")
+    def test_another_thread_runs_serially(self, monkeypatch):
+        # a running thread, as a multi-threaded BLAS keeps, must not be forked
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        _refuse_pool(monkeypatch)
+        stop = threading.Event()
+        waiter = threading.Thread(target=stop.wait)
+        waiter.start()
+        try:
+            assert experiments._os_threads() >= 2
+            rows, _ = run_study(StudyConfig(case="chebyshev", n_values=(16, 32)))
+        finally:
+            stop.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert [r.n for r in rows] == [16, 32]
+
+    def test_overflowing_field_raises_as_serial(self, monkeypatch, tmp_path):
+        # the calibration file lets the study reach its rows, which each overflow
+        cal_path = tmp_path / "cal.txt"
+        save_calibration(CalibrationConstant(c=1.0, dim=2, n_ref=4, field="rotated:1e308,1",
+                                             provenance="test"), cal_path)
+        cfg = StudyConfig(case="skew2d-aspect", n=8, aspect_values=(4.0, 16.0),
+                          field="rotated:1e308,1", calibration=str(cal_path))
+        errors = []
+        for cpus in (1, 2):
+            with pytest.raises(ValueError) as info:
+                _run_with_cpus(monkeypatch, cfg, cpus)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert "the diffusion field overflows" in errors[0][1]
+
+    @pytest.mark.parametrize("failures, message", [
+        ({16.0: "worker row"}, "worker row"),
+        # rows 1 (worker) and 2 (this process) fail: the serial run meets row 1 first
+        ({16.0: "worker row", 64.0: "later row"}, "worker row"),
+        ({4.0: "first row", 16.0: "worker row"}, "first row"),
+    ], ids=["worker", "worker-first", "parent-first"])
+    def test_first_error_in_sweep_order(self, monkeypatch, failures, message):
+        _failing_values(monkeypatch, failures)
+        cfg = StudyConfig(case="skew2d-aspect", n=4, aspect_values=(4.0, 16.0, 64.0))
+        for cpus in (1, 2):
+            with pytest.raises(FieldError, match=f"^{message}$"):
+                _run_with_cpus(monkeypatch, cfg, cpus)
+
+    def test_killed_worker_exits_one(self, monkeypatch, tmp_path, capsys):
+        # the kernel's OOM killer ends a worker this way
+        build, parent = experiments._build_mesh, os.getpid()
+
+        def build_or_die(cfg, value):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return build(cfg, value)
+
+        monkeypatch.setattr(experiments, "_build_mesh", build_or_die)
+        _use_cpus(monkeypatch, 2)
+        config = tmp_path / "study.cfg"
+        config.write_text("case = chebyshev\nn_values = 16, 32\n")
+        assert cli.main(["study", "--config", str(config),
+                         "--csv", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("meshcond: error: ") and err.count("\n") == 1
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_cli_csv_byte_identical(self, monkeypatch, tmp_path):
+        config = tmp_path / "study.cfg"
+        config.write_text("case = skew2d-aspect\nn = 8\naspect_values = 4, 16, 64\n"
+                          "field = rotated:1000,1\n")
+        outputs = []
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}.csv"
+            assert cli.main(["study", "--config", str(config), "--csv", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestEnvelopeCheck:
