@@ -61,6 +61,11 @@ STUDY_CASES = (
 # solver tolerance.
 ENVELOPE_SLACK = 1e-7
 
+# A study forks workers only if its largest mesh has at least this many
+# elements (d! n^d, as the generators make them): smaller rows take tens of milliseconds, about what starting a
+# worker and sharing the CPUs with it cost.
+FORK_MIN_ELEMENTS = 10_000
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -350,17 +355,20 @@ def _os_threads():
 
 def run_study(cfg):
     """Run a study; returns (rows, envelope violation messages) as a serial run
-    would.  After calibrating, a single-threaded process computes the rows in
-    up to len(os.sched_getaffinity(0)) forked processes; any other thread,
-    such as a multi-threaded BLAS's, would compete with the workers or be
-    copied into them mid-call, so then the rows run here alone."""
+    would.  After calibrating, a single-threaded process computes the rows of
+    a sweep whose largest mesh has FORK_MIN_ELEMENTS elements or more in up to
+    len(os.sched_getaffinity(0)) forked processes; any other thread, such as
+    a multi-threaded BLAS's, would compete with the workers or be copied into
+    them mid-call, so then the rows run here alone."""
     _check_config(cfg)
     dim = study_dimension(cfg)
     field = parse_field_spec(cfg.field, dim)
     cal = resolve_calibration(cfg.calibration, dim, field)
     values = _sweep(cfg)
-    single = _os_threads() == 1 and hasattr(os, "sched_getaffinity")
-    p = min(len(values), len(os.sched_getaffinity(0)) if single else 1)
+    elements = math.factorial(dim) * max(_mesh_size(cfg, v)[0] for v in values) ** dim
+    forks = (elements >= FORK_MIN_ELEMENTS and _os_threads() == 1
+             and hasattr(os, "sched_getaffinity"))
+    p = min(len(values), len(os.sched_getaffinity(0))) if forks else 1
     if p == 1:
         parts = [_study_rows(cfg, field, cal, values)]
     else:  # this process computes values[0::p], worker k values[k::p]

@@ -234,10 +234,12 @@ class TestRunStudy:
 
 def _use_cpus(monkeypatch, n):
     """Make this process see ``n`` usable CPUs and one thread (whatever its
-    BLAS runs), so a study forks n - 1 workers."""
+    BLAS runs), and let meshes of any size fork, so a study forks n - 1
+    workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
     monkeypatch.setattr(experiments, "_os_threads", lambda: 1)
+    monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
 
 
 def _same_value(a, b):
@@ -324,6 +326,7 @@ class TestParallelStudy:
     def test_another_thread_runs_serially(self, monkeypatch):
         # a running thread, as a multi-threaded BLAS keeps, must not be forked
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
         _refuse_pool(monkeypatch)
         stop = threading.Event()
         waiter = threading.Thread(target=stop.wait)
@@ -336,6 +339,29 @@ class TestParallelStudy:
             waiter.join(timeout=10)
         assert not waiter.is_alive()
         assert [r.n for r in rows] == [16, 32]
+
+    @pytest.mark.parametrize("cfg, forks", [
+        (StudyConfig(case="chebyshev", n_values=(1024, 2048, 4096)), False),
+        (StudyConfig(case="chebyshev", n_values=(5000, 10000)), True),
+        (StudyConfig(case="skew2d-aspect", n=70, aspect_values=(4.0, 16.0)), False),
+        (StudyConfig(case="skew2d-aspect", n=71, aspect_values=(4.0, 16.0)), True),
+        (StudyConfig(case="skew3d-aspect", n=11, aspect_values=(4.0, 16.0)), False),
+        (StudyConfig(case="skew3d-aspect", n=12, aspect_values=(4.0, 16.0)), True),
+    ], ids=["chebyshev-4096", "chebyshev-10000", "skew2d-9800", "skew2d-10082", "skew3d-7986",
+            "skew3d-10368"])
+    def test_forks_only_for_large_meshes(self, monkeypatch, cfg, forks):
+        # each row reports the pid that computed it, without building its mesh
+        monkeypatch.setattr(experiments, "_build_mesh",
+                            lambda cfg, value: (None, *experiments._mesh_size(cfg, value)))
+        monkeypatch.setattr(experiments, "analyze_mesh",
+                            lambda mesh, *args: (os.getpid(), []))
+        threshold = experiments.FORK_MIN_ELEMENTS
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", threshold)
+        pids, _ = run_study(cfg)
+        assert multiprocessing.active_children() == []
+        assert pids[0] == os.getpid()
+        assert (pids[1] != os.getpid()) == forks
 
     def test_overflowing_field_raises_as_serial(self, monkeypatch, tmp_path):
         # the calibration file lets the study reach its rows, which each overflow
