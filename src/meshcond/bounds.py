@@ -11,6 +11,10 @@ calibration of the single generic constant on uniform reference meshes.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -299,6 +303,24 @@ def _eigenvalues_or_none(mat, rel_tol, inverse):
         return None
 
 
+def _os_threads():
+    """Threads of this process, BLAS threads included; 0 if /proc does not list them."""
+    task = "/proc/self/task"
+    return len(os.listdir(task)) if os.path.isdir(task) else 0
+
+
+def _helper_cpus(d):
+    """CPUs for condition_bounds' helper; none (serial halves) for d = 1, a native
+    thread (a BLAS's) or one CPU.  Alone, a process keeps it off this thread's last
+    CPU, as the scheduler often put both on one; a forked study's may use any."""
+    if d < 2 or _os_threads() != threading.active_count() or len(os.sched_getaffinity(0)) < 2:
+        return set()
+    if multiprocessing.parent_process() or multiprocessing.active_children():
+        return os.sched_getaffinity(0)
+    with open("/proc/thread-self/stat") as fh:  # field 39: the CPU it last ran on
+        return os.sched_getaffinity(0) - {int(fh.read().rpartition(")")[2].split()[36])}
+
+
 def condition_bounds(mesh, field, cal, rel_tol=1e-8):
     """Exact extreme eigenvalues next to every estimate for one mesh and field.
 
@@ -306,6 +328,9 @@ def condition_bounds(mesh, field, cal, rel_tol=1e-8):
     lambda_min lower bound into upper bounds on kappa(A) and
     kappa(S^-1 A S^-1), and reports the three-factor decomposition (base
     power of N, D-nonuniformity, volume nonuniformity) separately.
+    Once the one LU of A is made, the scaled eigensolve runs in a helper thread
+    on :func:`_helper_cpus` (SuperLU's solve releases the GIL, see :mod:`.spectral`);
+    results and errors are a serial run's, and no thread outlives the call.
     """
     d = mesh.dim
     n = mesh.n_elements
@@ -336,9 +361,15 @@ def condition_bounds(mesh, field, cal, rel_tol=1e-8):
     # both lambda_min solves share one sparse LU of A; a failed solve gives None
     s = jacobi_scaling(a)
     inverse, inverse_scaled = shared_inverses(a, s)
+    scaled = (apply_symmetric_scaling(a, s), rel_tol, inverse_scaled)
+    if cpus := _helper_cpus(d):
+        with ThreadPoolExecutor(1, initializer=os.sched_setaffinity, initargs=(0, cpus)) as pool:
+            helper = pool.submit(_eigenvalues_or_none, *scaled)
+            # an error here leaves the helper's result unread, as a serial run never made it
+            exact = _eigenvalues_or_none(a, rel_tol, inverse)
+            return replace(report, exact=exact, exact_scaled=helper.result())
     return replace(report, exact=_eigenvalues_or_none(a, rel_tol, inverse),
-                   exact_scaled=_eigenvalues_or_none(apply_symmetric_scaling(a, s),
-                                                     rel_tol, inverse_scaled))
+                   exact_scaled=_eigenvalues_or_none(*scaled))
 
 
 def m_uniform_bound(mesh, field, metric, cal):

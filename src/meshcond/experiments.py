@@ -16,6 +16,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
+from . import bounds
 from .assembly import assemble_stiffness  # unused; perfbench/tracing.py patches it
 from .bounds import (
     CalibrationConstant,
@@ -347,39 +348,44 @@ def _study_rows(cfg, field, cal, values):
     return done
 
 
-def _os_threads():
-    """Threads of this process, BLAS threads included; 0 if /proc does not list them."""
-    task = "/proc/self/task"
-    return len(os.listdir(task)) if os.path.isdir(task) else 0
+def _shares(sizes, p):
+    """Sweep indices per process, in sweep order: largest first, each to the fewest
+    elements so far, the lowest index on a tie (so equal meshes go by stride)."""
+    shares = [[] for _ in range(p)]
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        min(shares, key=lambda share: sum(sizes[j] for j in share)).append(i)
+    return [sorted(share) for share in shares]
 
 
 def run_study(cfg):
     """Run a study; returns (rows, envelope violation messages) as a serial run
     would.  After calibrating, a single-threaded process computes the rows of
     a sweep whose largest mesh has FORK_MIN_ELEMENTS elements or more in up to
-    len(os.sched_getaffinity(0)) forked processes; any other thread, such as
-    a multi-threaded BLAS's, would compete with the workers or be copied into
-    them mid-call, so then the rows run here alone."""
+    len(os.sched_getaffinity(0)) forked processes, shared by :func:`_shares`;
+    any other thread, such as a multi-threaded BLAS's, would compete with the
+    workers or be copied into them mid-call, so then the rows run here alone."""
     _check_config(cfg)
     dim = study_dimension(cfg)
     field = parse_field_spec(cfg.field, dim)
     cal = resolve_calibration(cfg.calibration, dim, field)
     values = _sweep(cfg)
-    elements = math.factorial(dim) * max(_mesh_size(cfg, v)[0] for v in values) ** dim
-    forks = (elements >= FORK_MIN_ELEMENTS and _os_threads() == 1
+    sizes = [math.factorial(dim) * _mesh_size(cfg, v)[0] ** dim for v in values]
+    forks = (max(sizes) >= FORK_MIN_ELEMENTS and bounds._os_threads() == 1
              and hasattr(os, "sched_getaffinity"))
     p = min(len(values), len(os.sched_getaffinity(0))) if forks else 1
+    shares = _shares(sizes, p)
     if p == 1:
         parts = [_study_rows(cfg, field, cal, values)]
-    else:  # this process computes values[0::p], worker k values[k::p]
+    else:  # this process computes the first share, worker k share k
         with ProcessPoolExecutor(p - 1, mp_context=get_context("fork")) as pool:
-            futures = [pool.submit(_study_rows, cfg, field, cal, values[k::p])
-                       for k in range(1, p)]
-            parts = [_study_rows(cfg, field, cal, values[::p])]
+            futures = [pool.submit(_study_rows, cfg, field, cal, [values[i] for i in share])
+                       for share in shares[1:]]
+            parts = [_study_rows(cfg, field, cal, [values[i] for i in shares[0]])]
             parts += [future.result() for future in futures]
     rows, violations = [], []
-    for i in range(len(values)):
-        item = parts[i % p][i // p]  # a part's error precedes its missing rows
+    for _, k, j in sorted((i, k, j) for k, share in enumerate(shares)
+                          for j, i in enumerate(share)):
+        item = parts[k][j]  # a part's error precedes its missing rows
         if isinstance(item, Exception):
             raise item
         rows.append(item[0])

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import pytest
 
 from meshcond import bounds, diffusion
@@ -42,3 +45,24 @@ def splu_calls(monkeypatch):
 
     monkeypatch.setattr(spectral.spla, "splu", counted)
     return calls
+
+
+@pytest.fixture
+def use_cpus(monkeypatch):
+    """``use_cpus(n)`` makes this process see ``n`` usable CPUs, and pinning
+    a thread to them does nothing.
+
+    Its threads are counted as its Python threads alone, as if its BLAS ran
+    none of its own (``OPENBLAS_NUM_THREADS=1``) and no joined thread were
+    still listed in /proc, so with n >= 2 ``condition_bounds`` solves the
+    two halves of a 2D or 3D mesh in two threads.
+    """
+    monkeypatch.setattr(bounds, "_os_threads", threading.active_count)
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None,
+                            raising=False)
+
+    return use

@@ -1,4 +1,11 @@
 import dataclasses
+import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -39,8 +46,10 @@ from meshcond.mesh import (
     mesh_statistics,
     reference_simplex,
 )
+import meshcond.bounds as bounds_mod
 import meshcond.spectral as spectral
-from meshcond.spectral import extreme_eigenvalues
+from meshcond.experiments import analyze_mesh
+from meshcond.spectral import ConvergenceError, extreme_eigenvalues, shared_inverses
 
 
 class TestMassConditionBounds:
@@ -479,6 +488,185 @@ class TestSharedFactorization:
         rep = condition_bounds(mesh, field, cal)
         assert rep.exact_scaled is None
         assert rep.exact == ok.exact
+
+
+def _same(a, b):
+    """Equality of reports, rows and their fields, with NaN equal to NaN."""
+    if dataclasses.is_dataclass(a) and dataclasses.is_dataclass(b):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The helper pools condition_bounds starts, one list entry each."""
+    started = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(bounds_mod, "ThreadPoolExecutor", Counted)
+    return started
+
+
+def _is_scaled(mat):
+    return np.allclose(mat.diagonal(), 1.0)
+
+
+class TestConcurrentHalves:
+    """With two usable CPUs and no native thread, condition_bounds solves the
+    Jacobi-scaled half in a helper thread, with the serial run's results."""
+
+    @staticmethod
+    def case():
+        field = rotated_anisotropic_field(1000.0, 1.0)
+        return generate_skew_mesh_2d(12, 16.0), field, calibrate_constant(2, field, 8)
+
+    @pytest.mark.parametrize("make_case", [
+        lambda cal3: TestConcurrentHalves.case(),
+        lambda cal3: (generate_skew_mesh_2d(10, 128.0), identity_field(2),
+                      calibrate_constant(2, identity_field(2), 8)),
+        lambda cal3: (generate_skew_mesh_3d(6, 25.0), identity_field(3), cal3),
+        lambda cal3: (generate_skew_mesh_3d(5, 4.0), identity_field(3), cal3),
+    ], ids=["skew2d-rotated", "skew2d-a128", "skew3d-a25", "skew3d-a4"])
+    def test_one_and_two_cpus_agree(self, make_case, cal3, use_cpus, pools):
+        mesh, field, cal = make_case(cal3)
+        reports, rows = [], []
+        for cpus in (1, 2):
+            use_cpus(cpus)
+            reports.append(condition_bounds(mesh, field, cal))
+            rows.append(analyze_mesh(mesh, field, cal, n_label=6, aspect_label=4.0))
+            assert len(pools) == 2 * (cpus - 1)
+            assert threading.active_count() == 1
+        assert reports[0].exact is not None and reports[0].exact_scaled is not None
+        assert _same(reports[0], reports[1])
+        assert _same(rows[0][0], rows[1][0]) and rows[0][1] == rows[1][1]
+
+    @pytest.mark.parametrize("fail_scaled", [False, True], ids=["unscaled", "scaled"])
+    def test_convergence_error_blanks_its_half(self, monkeypatch, use_cpus, pools,
+                                               fail_scaled):
+        mesh, field, cal = self.case()
+        use_cpus(1)
+        serial = condition_bounds(mesh, field, cal)
+        real = bounds_mod.extreme_eigenvalues
+
+        def fake(mat, *args, **kwargs):
+            if _is_scaled(mat) == fail_scaled:
+                raise ConvergenceError("forced")
+            return real(mat, *args, **kwargs)
+
+        monkeypatch.setattr(bounds_mod, "extreme_eigenvalues", fake)
+        use_cpus(2)
+        rep = condition_bounds(mesh, field, cal)
+        assert len(pools) == 1
+        failed, kept = ("exact_scaled", "exact") if fail_scaled else ("exact", "exact_scaled")
+        assert getattr(rep, failed) is None
+        assert getattr(rep, kept) == getattr(serial, kept)
+
+    @pytest.mark.parametrize("failing, message", [
+        # the scaled half fails first in time, yet the unscaled error wins
+        ({"unscaled", "scaled"}, "unscaled"),
+        ({"scaled"}, "scaled"),
+        ({"unscaled"}, "unscaled"),
+    ], ids=["both", "scaled", "unscaled"])
+    def test_error_of_serial_run_is_raised(self, monkeypatch, use_cpus, pools,
+                                           failing, message):
+        mesh, field, cal = self.case()
+        real = bounds_mod.extreme_eigenvalues
+
+        def fake(mat, *args, **kwargs):
+            half = "scaled" if _is_scaled(mat) else "unscaled"
+            if half == "unscaled":
+                time.sleep(0.05)
+            if half in failing:
+                raise ValueError(half)
+            return real(mat, *args, **kwargs)
+
+        monkeypatch.setattr(bounds_mod, "extreme_eigenvalues", fake)
+        for cpus in (1, 2):
+            use_cpus(cpus)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                condition_bounds(mesh, field, cal)
+            assert threading.active_count() == 1
+        assert len(pools) == 1
+
+    def test_1d_never_starts_the_helper(self, monkeypatch, cal1, use_cpus):
+        def refused(*args, **kwargs):
+            raise AssertionError("a helper thread was started")
+
+        monkeypatch.setattr(bounds_mod, "ThreadPoolExecutor", refused)
+        use_cpus(2)
+        rep = condition_bounds(generate_chebyshev_mesh(256), identity_field(1), cal1)
+        assert rep.exact is not None and rep.exact_scaled is not None
+
+    def test_native_thread_keeps_halves_serial(self, monkeypatch, use_cpus, pools):
+        use_cpus(2)
+        assert len(bounds_mod._helper_cpus(2)) == len(bounds_mod._helper_cpus(3)) == 1
+        assert bounds_mod._helper_cpus(1) == set()
+        monkeypatch.setattr(bounds_mod, "_os_threads", lambda: threading.active_count() + 1)
+        assert bounds_mod._helper_cpus(2) == set()
+        condition_bounds(*self.case())
+        assert pools == []
+
+    def test_study_processes_leave_the_helper_unpinned(self, monkeypatch, use_cpus):
+        use_cpus(2)
+        assert len(bounds_mod._helper_cpus(2)) == 1
+        monkeypatch.setattr(multiprocessing, "active_children", lambda: [object()])
+        assert bounds_mod._helper_cpus(2) == {0, 1}
+        monkeypatch.setattr(multiprocessing, "active_children", list)
+        monkeypatch.setattr(multiprocessing, "parent_process", object)
+        assert bounds_mod._helper_cpus(2) == {0, 1}
+
+    def test_one_cpu_keeps_halves_serial(self, use_cpus, pools):
+        use_cpus(1)
+        assert bounds_mod._helper_cpus(2) == set()
+        condition_bounds(*self.case())
+        assert pools == []
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2
+                        or not os.path.exists("/proc/thread-self/stat"),
+                        reason="needs two usable CPUs and /proc")
+    def test_helper_runs_off_the_callers_cpu(self, monkeypatch, pools):
+        monkeypatch.setattr(bounds_mod, "_os_threads", threading.active_count)
+        allowed, caller = os.sched_getaffinity(0), threading.get_ident()
+        seen = {}
+        real = bounds_mod._eigenvalues_or_none
+
+        def spy(*args):
+            seen[threading.get_ident() == caller] = os.sched_getaffinity(0)
+            return real(*args)
+
+        monkeypatch.setattr(bounds_mod, "_eigenvalues_or_none", spy)
+        condition_bounds(*self.case())
+        assert len(pools) == 1
+        assert seen[True] == allowed == os.sched_getaffinity(0)
+        assert seen[False] < allowed and len(seen[False]) == len(allowed) - 1
+
+    def test_concurrent_solves_bitwise_equal_to_sequential(self):
+        # both solves of one factor, each from two threads, with a short switch interval
+        a = assemble_stiffness(generate_skew_mesh_3d(8, 25.0), identity_field(3))
+        solves = 2 * shared_inverses(a, jacobi_scaling(a))
+        rhs = np.random.default_rng(3).standard_normal((4, 40, a.shape[0]))
+
+        def run(solve, xs):
+            return [solve(x).tobytes() for x in xs]
+
+        sequential = [run(solve, xs) for solve, xs in zip(solves, rhs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                concurrent = list(pool.map(run, solves, rhs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == sequential
 
 
 class TestMUniformBound:

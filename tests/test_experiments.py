@@ -6,14 +6,16 @@ import os
 import re
 import signal
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from meshcond import cli, experiments
+from meshcond import bounds, cli, experiments
 from meshcond.bounds import CalibrationConstant
-from meshcond.diffusion import FieldError
+from meshcond.diffusion import FieldError, parse_field_spec
 from meshcond.experiments import (
     CSV_COLUMNS,
     StudyConfig,
@@ -26,6 +28,7 @@ from meshcond.experiments import (
     study_dimension,
     write_study_csv,
 )
+from meshcond.mesh import generate_skew_mesh_2d
 
 
 class TestFitSlope:
@@ -232,13 +235,19 @@ class TestRunStudy:
                     assert a == b
 
 
+def _fake_cpus(monkeypatch, n):
+    """Make this process see ``n`` usable CPUs; pinning a thread to them does nothing."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+
+
 def _use_cpus(monkeypatch, n):
     """Make this process see ``n`` usable CPUs and one thread (whatever its
     BLAS runs), and let meshes of any size fork, so a study forks n - 1
     workers."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-    monkeypatch.setattr(experiments, "_os_threads", lambda: 1)
+    _fake_cpus(monkeypatch, n)
+    monkeypatch.setattr(bounds, "_os_threads", lambda: 1)
     monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
 
 
@@ -261,6 +270,22 @@ def _refuse_pool(monkeypatch):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+
+
+def _count_without_blas(monkeypatch):
+    """Count this process's threads from /proc, less those its BLAS started.
+
+    A multi-threaded OpenBLAS stops its threads when the process forks and
+    starts them again at its next large call, so one is made first, through
+    numpy's BLAS and through scipy's, which may be another library."""
+    a = np.ones((512, 512))
+    a @ a, scipy.linalg.blas.dgemm(1.0, a, a)
+    real, counts = bounds._os_threads, []
+    for _ in range(3):  # a thread joined by an earlier test may still be listed
+        time.sleep(0.01)
+        counts.append(real() - threading.active_count())
+    native = min(counts)
+    monkeypatch.setattr(bounds, "_os_threads", lambda: real() - native)
 
 
 def _failing_values(monkeypatch, failures):
@@ -300,9 +325,10 @@ class TestParallelStudy:
         assert len(violations) == len(rows)
 
     def test_worker_computes_every_second_row(self, monkeypatch):
+        # meshes of one size are dealt out by stride
         monkeypatch.setattr(experiments, "envelope_violations",
                             lambda report: [str(os.getpid())])
-        cfg = StudyConfig(case="chebyshev", n_values=(16, 32, 64, 128))
+        cfg = StudyConfig(case="skew2d-aspect", n=4, aspect_values=(4.0, 8.0, 16.0, 32.0))
         _, violations = _run_with_cpus(monkeypatch, cfg, 2)
         pids = [int(v.rpartition(": ")[2]) for v in violations]
         assert pids[0] == pids[2] == os.getpid()
@@ -325,14 +351,14 @@ class TestParallelStudy:
                         reason="threads are counted from /proc")
     def test_another_thread_runs_serially(self, monkeypatch):
         # a running thread, as a multi-threaded BLAS keeps, must not be forked
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        _fake_cpus(monkeypatch, 2)
         monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
         _refuse_pool(monkeypatch)
         stop = threading.Event()
         waiter = threading.Thread(target=stop.wait)
         waiter.start()
         try:
-            assert experiments._os_threads() >= 2
+            assert bounds._os_threads() >= 2
             rows, _ = run_study(StudyConfig(case="chebyshev", n_values=(16, 32)))
         finally:
             stop.set()
@@ -360,8 +386,129 @@ class TestParallelStudy:
         monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", threshold)
         pids, _ = run_study(cfg)
         assert multiprocessing.active_children() == []
-        assert pids[0] == os.getpid()
-        assert (pids[1] != os.getpid()) == forks
+        assert os.getpid() in pids
+        assert (len(set(pids)) == 2) == forks
+
+    # the sweep of one skew2d-n study (aspect 8) in three orders; its meshes
+    # have 2 n^2 elements, 2 (72^2 + 144^2) = 51,840 and 2 (102^2 + 125^2) =
+    # 52,058 in its two balanced shares
+    SKEW2D_ORDERS = [(72, 102, 125, 144), (72, 125, 102, 144), (144, 72, 125, 102)]
+
+    @staticmethod
+    def _stub_rows(monkeypatch, failures=()):
+        """Each row is (pid, n), made without a mesh; a value in ``failures``
+        raises FieldError naming it."""
+        def build(cfg, value):
+            if value in failures:
+                raise FieldError(f"row {value}")
+            return (None, *experiments._mesh_size(cfg, value))
+
+        monkeypatch.setattr(experiments, "_build_mesh", build)
+        monkeypatch.setattr(experiments, "analyze_mesh",
+                            lambda mesh, field, cal, tol, n, aspect: ((os.getpid(), n), []))
+
+    @pytest.mark.parametrize("order", SKEW2D_ORDERS, ids=lambda order: "-".join(map(str, order)))
+    def test_rows_balanced_by_elements(self, monkeypatch, order):
+        self._stub_rows(monkeypatch)
+        cfg = StudyConfig(case="skew2d-n", n_values=order, aspect=8.0)
+        rows, _ = _run_with_cpus(monkeypatch, cfg, 2)
+        assert [n for _, n in rows] == list(order)
+        totals = {}
+        for pid, n in rows:
+            totals[pid] = totals.get(pid, 0) + 2 * n * n
+        assert totals.pop(os.getpid()) == 51_840
+        assert list(totals.values()) == [52_058]
+
+    @pytest.mark.parametrize("failures, message", [
+        ((125,), "row 125"),
+        # 102 (worker) and 144 (this process) fail: the serial run meets 102 first
+        ((102, 144), "row 102"),
+        ((72, 125), "row 72"),
+    ], ids=["worker", "worker-first", "parent-first"])
+    def test_balanced_error_in_sweep_order(self, monkeypatch, failures, message):
+        self._stub_rows(monkeypatch, failures)
+        cfg = StudyConfig(case="skew2d-n", n_values=self.SKEW2D_ORDERS[0], aspect=8.0)
+        for cpus in (1, 2):
+            with pytest.raises(FieldError, match=f"^{message}$"):
+                _run_with_cpus(monkeypatch, cfg, cpus)
+
+    @pytest.mark.parametrize("shares, sizes", [
+        ([[0, 2], [1, 3]], [5, 5, 5, 5]),
+        ([[0, 3], [1], [2]], [7, 7, 7, 7]),
+        ([[3], [0, 1, 2]], [16, 32, 64, 128]),
+    ], ids=["equal-2", "equal-3", "chebyshev"])
+    def test_shares(self, shares, sizes):
+        assert experiments._shares(sizes, len(shares)) == shares
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="threads are counted from /proc")
+    def test_python_thread_keeps_study_serial_not_halves(self, monkeypatch):
+        _count_without_blas(monkeypatch)
+        _fake_cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
+        _refuse_pool(monkeypatch)
+        stop = threading.Event()
+        waiter = threading.Thread(target=stop.wait)
+        waiter.start()
+        try:
+            assert bounds._helper_cpus(2)
+            rows, _ = run_study(StudyConfig(case="chebyshev", n_values=(16, 32)))
+        finally:
+            stop.set()
+            waiter.join(timeout=10)
+        assert [r.n for r in rows] == [16, 32]
+
+    def test_native_thread_keeps_both_serial(self, monkeypatch, use_cpus):
+        use_cpus(2)
+        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(bounds, "_os_threads", lambda: threading.active_count() + 1)
+        _refuse_pool(monkeypatch)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a helper thread was started")
+
+        monkeypatch.setattr(bounds, "ThreadPoolExecutor", refused)
+        rows, _ = run_study(StudyConfig(case="skew2d-aspect", n=8, aspect_values=(4.0, 16.0)))
+        assert [r.status for r in rows] == ["ok", "ok"]
+
+    def test_study_processes_split_halves_unpinned(self, monkeypatch):
+        # each row reports the CPUs its helper thread was given
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(bounds, "_os_threads", threading.active_count)
+        given, real_pool = [], bounds.ThreadPoolExecutor
+
+        def pool(*args, initargs, **kwargs):
+            given.append(initargs[1])
+            return real_pool(*args, initargs=initargs, **kwargs)
+
+        monkeypatch.setattr(bounds, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(experiments, "envelope_violations",
+                            lambda report: [f"{os.getpid()} {sorted(given[-1])}"])
+        cfg = StudyConfig(case="skew2d-aspect", n=8, aspect_values=(4.0, 16.0))
+        _, violations = run_study(cfg)
+        reports = [v.rpartition(": ")[2].partition(" ") for v in violations]
+        assert len({pid for pid, _, _ in reports}) == 2
+        assert [cpus for _, _, cpus in reports] == ["[0, 1]"] * 2
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="threads are counted from /proc")
+    def test_forks_right_after_concurrent_halves(self, monkeypatch):
+        # a joined helper that /proc still lists would keep the study serial
+        _count_without_blas(monkeypatch)
+        _fake_cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
+        started = []
+        real_pool = bounds.ThreadPoolExecutor
+        monkeypatch.setattr(bounds, "ThreadPoolExecutor", lambda *args, **kwargs:
+                            started.append(args) or real_pool(*args, **kwargs))
+        field = parse_field_spec("identity", 2)
+        cal = experiments.resolve_calibration("auto", 2, field)
+        row, _ = experiments.analyze_mesh(generate_skew_mesh_2d(8, 4.0), field, cal)
+        assert row.status == "ok" and started == [(1,)]
+        self._stub_rows(monkeypatch)
+        rows, _ = run_study(StudyConfig(case="skew2d-aspect", n=8, aspect_values=(4.0, 16.0)))
+        assert multiprocessing.active_children() == []
+        assert len({pid for pid, _ in rows}) == 2
 
     def test_overflowing_field_raises_as_serial(self, monkeypatch, tmp_path):
         # the calibration file lets the study reach its rows, which each overflow
