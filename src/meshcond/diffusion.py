@@ -220,12 +220,13 @@ class _ElementGeometry:
     the averages D_K.  ``mk`` holds M_K = (F'_K)^{-T} D_K (F'_K)^{-1} and
     ``mk_norm`` their spectral norms, computed on first use, after the
     stiffness assembly.  The stiffness diagonal is bounded by the transposed
-    (F'_K)^{-1} D_K (F'_K)^{-T} instead; they differ for an anisotropic
-    field (ROADMAP.md, item 3).  Construction raises DegenerateElementError
-    naming the first element whose |K| is not positive and finite or whose
-    gradients or (F'_K)^{-1} overflow, which a valid mesh with a vertex
-    moved by 1e-320 or to 1e308 gives; ``mk`` and ``mk_norm`` raise
-    FieldError naming the first element where they are not finite.
+    (F'_K)^{-1} D_K (F'_K)^{-T} instead; for an anisotropic field the two
+    differ, and a bound on A_jj through M_K fails by up to 2.36 times.
+    Construction raises DegenerateElementError naming the first element
+    whose |K| is not positive and finite or whose gradients or (F'_K)^{-1}
+    overflow, which a valid mesh with a vertex moved by 1e-320 or to 1e308
+    gives; ``mk`` and ``mk_norm`` raise FieldError naming the first element
+    where they are not finite.
     """
 
     def __init__(self, mesh, field):

@@ -47,8 +47,8 @@ def check_generator_args(family, n, aspect=1.0):
 
     ``family`` is ``uniform``, ``chebyshev`` or ``skew``; ``n`` must be at
     least 2, 3 or 4 respectively, and ``aspect`` finite and at least 1.  A
-    skew mesh's squeezed layer must also stay between its neighboring
-    grid lines.
+    skew mesh's squeezed layer must also be thicker than floating-point
+    resolution.
     """
     least = _MIN_SUBDIVISIONS[family]
     if n < least:
@@ -62,22 +62,19 @@ def check_generator_args(family, n, aspect=1.0):
 def _moved_layer(n, aspect):
     """Index j0 of the grid line a skew mesh moves down, and its new height."""
     j0 = (n + 1) // 2
-    new_pos = (j0 - 1 + 1.0 / aspect) / n
-    if not ((j0 - 1) / n < new_pos < (j0 + 1) / n):
-        raise ValueError(
-            f"aspect {aspect} moves the grid layer across a neighboring line"
-        )
+    new_pos = (j0 - 1 + 1.0 / aspect) / n  # in ((j0 - 1)/n, j0/n] unless it rounds down
+    if new_pos <= (j0 - 1) / n:
+        raise ValueError(f"aspect {aspect:g} squeezes the grid layer of the n = {n} "
+                         "mesh below floating-point resolution")
     return j0, new_pos
 
 
 class MeshFormatError(ValueError):
     """Raised when a mesh file cannot be parsed; carries the offending line."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line}: {message}")
 
 
 class DegenerateElementError(ValueError):
@@ -485,27 +482,28 @@ def read_mesh(path):
     Raises
     ------
     MeshFormatError
-        On a malformed header, out-of-range vertex index, non-finite
-        coordinate, non-blank text after the declared lines or a boundary
-        flag that disagrees with the elements; the error message carries the
-        offending line number.
+        On a malformed header, a vertex or element line that is not dim + 1
+        numbers as ``np.loadtxt`` reads them (ASCII digits, no ``_``), a
+        non-finite coordinate, a boundary flag other than ``0`` or ``1``, an
+        out-of-range vertex index, non-blank text after the declared lines
+        or a boundary flag that disagrees with the elements; the error names
+        the first bad line and carries its number.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].strip():
         raise MeshFormatError("missing header", line=1)
     head = lines[0].split()
-    if len(head) != 5 or head[0] != "meshcond" or head[1] != "v1":
+    keys = sorted(token.partition("=")[0] for token in head[2:])
+    if head[:2] != ["meshcond", "v1"] or keys != ["dim", "ne", "nv"]:
         raise MeshFormatError(f"malformed header {lines[0]!r}", line=1)
     fields = {}
     for token in head[2:]:
         key, _, value = token.partition("=")
-        try:
-            fields[key] = int(value)
-        except ValueError:
+        number = _rows([value], np.int64, 1)
+        if number is None:
             raise MeshFormatError(f"malformed header field {token!r}", line=1)
-    if sorted(fields) != ["dim", "ne", "nv"]:
-        raise MeshFormatError(f"malformed header {lines[0]!r}", line=1)
+        fields[key] = int(number[0, 0])
     dim, nv, ne = fields["dim"], fields["nv"], fields["ne"]
     if dim not in (1, 2, 3) or nv < dim + 1 or ne < 1:
         raise MeshFormatError(f"invalid header values dim={dim} nv={nv} ne={ne}", line=1)
@@ -520,9 +518,9 @@ def read_mesh(path):
                 line=lineno,
             )
 
-    blocks = lines[1:1 + nv], lines[1 + nv:1 + nv + ne]
-    parsed = _load_blocks(*blocks, dim, nv)
-    vertices, flags, elements = parsed if parsed else _parse_lines(*blocks, dim)
+    vertices, flags = _first_bad_line(lines[1:1 + nv], 2, _vertex_rows, _vertex_fault, dim)
+    elements = _first_bad_line(lines[1 + nv:1 + nv + ne], 2 + nv, _element_rows,
+                               _element_fault, dim, nv)
     mesh = SimplicialMesh(dim=dim, vertices=vertices, elements=elements)
     differ = np.flatnonzero(flags != mesh.boundary)
     if differ.size:
@@ -535,85 +533,72 @@ def read_mesh(path):
     return mesh
 
 
-def _load_blocks(vertex_lines, element_lines, dim, nv):
-    """Vertices, boundary flags and elements, each parsed by one ``np.loadtxt`` call.
+def _first_bad_line(lines, first_line, read, fault, *args):
+    """``read(lines, *args)``, or MeshFormatError naming the first line it rejects.
 
-    Returns None unless both blocks are clean tables of dim + 1 columns with
-    finite coordinates, flags spelled ``0`` or ``1`` and in-range vertex
-    indices; :func:`_parse_lines` then reads them again and names the first
-    bad line.  ``loadtxt`` accepts no number that ``float`` or ``int``
-    rejects, so a file this reads is read to the same values line by line.
+    ``read`` rejects a block where it rejects one of its lines alone, so
+    halving the range that holds the first rejected line finds it in about
+    2n line parses, the whole block's included.
     """
-    def table(lines, dtype, **kwargs):
-        # one text, not a list of lines: the list form leaves glibc's heap
-        # so that the LU factorizations that follow peak 5 MB higher on a
-        # 48k-tet mesh (the gap vanishes with a fixed mmap threshold)
-        return np.loadtxt(io.StringIO("\n".join(lines)), dtype=dtype, comments=None,
-                          ndmin=2, **kwargs)
+    result = read(lines, *args)
+    if result is None:
+        lo, hi = 0, len(lines)  # lines[:lo] are read; the first rejected is in [lo, hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if read(lines[lo:mid], *args) is None else (mid, hi)
+        raise MeshFormatError(fault(lines[lo].split(), *args), line=first_line + lo)
+    return result
 
-    width = dim + 1
-    with warnings.catch_warnings():
-        # loadtxt warns when it skips a blank line; a blank line is an error here
-        warnings.simplefilter("error")
-        try:
-            vertex_table = table(vertex_lines, float)
-            flags = table(vertex_lines, str, usecols=(dim,))[:, 0]
-            elements = table(element_lines, np.int64)
-        except (ValueError, OverflowError, Warning):
-            return None
-    if (vertex_table.shape != (len(vertex_lines), width)
-            or elements.shape != (len(element_lines), width)):
+
+def _rows(lines, dtype, width, **kwargs):
+    """``lines`` as a table of ``width`` numbers each, or None if ``loadtxt`` rejects one."""
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns when it skips a blank line; a blank line is an error here
+            warnings.simplefilter("error")
+            # one text, not a list of lines: the list form leaves glibc's heap
+            # so that the LU factorizations that follow peak 5 MB higher on a
+            # 48k-tet mesh (the gap vanishes with a fixed mmap threshold)
+            table = np.loadtxt(io.StringIO("\n".join(lines)), dtype=dtype,
+                               comments=None, ndmin=2, **kwargs)
+    except (ValueError, OverflowError, Warning):
         return None
-    vertices = vertex_table[:, :dim]
-    if (not np.isfinite(vertices).all() or not np.isin(flags, ("0", "1")).all()
-            or elements.min() < 0 or elements.max() >= nv):
+    return table if table.shape == (len(lines), width) else None
+
+
+def _vertex_rows(lines, dim):
+    """Coordinates and boundary flags, or None unless every line holds dim
+    finite coordinates and a flag spelled ``0`` or ``1``."""
+    table = _rows(lines, float, dim + 1)
+    if table is None or not np.isfinite(table[:, :dim]).all():
         return None
-    return np.ascontiguousarray(vertices), flags == "1", elements
+    flags = _rows(lines, str, 1, usecols=(dim,))[:, 0]
+    if not np.isin(flags, ("0", "1")).all():
+        return None
+    return np.ascontiguousarray(table[:, :dim]), flags == "1"
 
 
-def _parse_lines(vertex_lines, element_lines, dim):
-    """The vertex and element blocks read line by line.
+def _element_rows(lines, dim, nv):
+    """Vertex indices, or None unless every line holds dim + 1 indices below ``nv``."""
+    table = _rows(lines, np.int64, dim + 1)
+    return table if table is not None and 0 <= table.min() and table.max() < nv else None
 
-    Raises MeshFormatError naming the first bad line and what is wrong on it.
-    """
-    nv, ne = len(vertex_lines), len(element_lines)
-    vertices = np.empty((nv, dim))
-    flags = np.empty(nv, dtype=bool)
-    for i in range(nv):
-        lineno = 2 + i
-        parts = vertex_lines[i].split()
-        if len(parts) != dim + 1:
-            raise MeshFormatError(
-                f"expected {dim + 1} fields on vertex line, got {len(parts)}",
-                line=lineno,
-            )
-        try:
-            coords = [float(p) for p in parts[:dim]]
-        except ValueError:
-            raise MeshFormatError(f"bad coordinate in {parts[:dim]}", line=lineno)
-        if not all(math.isfinite(c) for c in coords):
-            raise MeshFormatError(f"non-finite coordinate {coords}", line=lineno)
-        if parts[dim] not in ("0", "1"):
-            raise MeshFormatError(f"boundary flag must be 0 or 1, got {parts[dim]!r}",
-                                  line=lineno)
-        vertices[i] = coords
-        flags[i] = parts[dim] == "1"
 
-    elements = np.empty((ne, dim + 1), dtype=np.int64)
-    for k in range(ne):
-        lineno = 2 + nv + k
-        parts = element_lines[k].split()
-        if len(parts) != dim + 1:
-            raise MeshFormatError(
-                f"expected {dim + 1} vertex indices, got {len(parts)}", line=lineno
-            )
-        try:
-            idx = [int(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(f"bad vertex index in {parts}", line=lineno)
-        for v in idx:
-            if v < 0 or v >= nv:
-                raise MeshFormatError(f"vertex index {v} out of range", line=lineno)
-        elements[k] = idx
+def _vertex_fault(parts, dim):
+    if len(parts) != dim + 1:
+        return f"expected {dim + 1} fields on vertex line, got {len(parts)}"
+    coords = _rows([" ".join(parts[:dim])], float, dim)
+    if coords is None:
+        return f"bad coordinate in {parts[:dim]}"
+    if not np.isfinite(coords).all():
+        return f"non-finite coordinate {coords[0].tolist()}"
+    return f"boundary flag must be 0 or 1, got {parts[dim]!r}"
 
-    return vertices, flags, elements
+
+def _element_fault(parts, dim, nv):
+    if len(parts) != dim + 1:
+        return f"expected {dim + 1} vertex indices, got {len(parts)}"
+    indices = _rows([" ".join(parts)], np.int64, dim + 1)
+    if indices is None:
+        return f"bad vertex index in {parts}"
+    return f"vertex index {indices[(indices < 0) | (indices >= nv)][0]} out of range"

@@ -48,21 +48,27 @@ def splu_calls(monkeypatch):
 
 
 @pytest.fixture
-def use_cpus(monkeypatch):
-    """``use_cpus(n)`` makes this process see ``n`` usable CPUs, and pinning
-    a thread to them does nothing.
-
-    Its threads are counted as its Python threads alone, as if its BLAS ran
-    none of its own (``OPENBLAS_NUM_THREADS=1``) and no joined thread were
-    still listed in /proc, so with n >= 2 ``condition_bounds`` solves the
-    two halves of a 2D or 3D mesh in two threads.
-    """
-    monkeypatch.setattr(bounds, "_os_threads", threading.active_count)
-
-    def use(n):
+def fake_cpus(monkeypatch):
+    """``fake_cpus(n)`` makes this process see ``n`` usable CPUs, and pinning
+    a thread to them does nothing."""
+    def fake(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                             raising=False)
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None,
                             raising=False)
 
-    return use
+    return fake
+
+
+@pytest.fixture
+def use_cpus(monkeypatch, fake_cpus):
+    """``use_cpus(n)`` is ``fake_cpus(n)`` in a process whose threads are
+    counted as its Python threads alone.
+
+    That is as if its BLAS ran none of its own (``OPENBLAS_NUM_THREADS=1``)
+    and no joined thread were still listed in /proc, so with n >= 2
+    ``condition_bounds`` solves the two halves of a 2D or 3D mesh in two
+    threads.
+    """
+    monkeypatch.setattr(bounds, "_os_threads", threading.active_count)
+    return fake_cpus

@@ -51,6 +51,19 @@ class TestGenerate:
         code = run(["generate", "--case", "chebyshev", "--n", "1", "-o", str(out)])
         assert code == 1
 
+    @pytest.mark.parametrize("case, n, aspect", [
+        ("skew2d", 8, "1e16"), ("skew3d", 150, "1e15"), ("skew2d", 4, "1e300")])
+    def test_unresolved_layer_exits_one(self, tmp_path, capsys, case, n, aspect):
+        # the squeezed layer's height rounds away next to the grid line below it
+        out = tmp_path / "x.msh"
+        code = run(["generate", "--case", case, "--n", str(n), "--aspect", aspect,
+                    "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"meshcond: error: aspect {float(aspect):g} squeezes the grid layer of the "
+            f"n = {n} mesh below floating-point resolution\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["uniform1d", "uniform2d", "uniform3d", "chebyshev"])
     def test_aspect_rejected_where_ignored(self, tmp_path, capsys, case):
         out = tmp_path / "x.msh"
@@ -491,8 +504,90 @@ class TestStudy:
             f"meshcond: error: {cfg}: tol must be in (0, 1e-4], got 0.5\n")
         assert not (tmp_path / "s.csv").exists()
 
+    def test_unresolved_layer_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("case = skew2d-aspect\nn = 8\naspect_values = 4, 1e16\n")
+        assert run(["study", "--config", str(cfg),
+                    "--csv", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"meshcond: error: {cfg}: case skew2d-aspect: aspect 1e+16 squeezes the "
+            "grid layer of the n = 8 mesh below floating-point resolution\n")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_bad_config_exits_one(self, tmp_path):
         cfg = tmp_path / "study.cfg"
         cfg.write_text("case = chebyshev\nn_values = 128, 64\n")
         assert run(["study", "--config", str(cfg),
                     "--csv", str(tmp_path / "s.csv")]) == 1
+
+
+class TestMutationFuzz:
+    """Seeded mutations of small mesh, calibration and study files, run
+    through ``cli.main``: each exits 0, 1 or 2, an exit 1 prints one line,
+    and no exception or warning escapes."""
+
+    # numbers Python's float or int reads but the file formats may not, an
+    # overflow, a NaN, an int64 overflow and an empty token
+    TOKENS = ("1_0", "\u0661", "1e400", "nan", "12345678901234567890", "")
+
+    @classmethod
+    def _mutate(cls, rng, text):
+        lines = text.splitlines()
+        kind, k = int(rng.integers(7)), int(rng.integers(len(lines)))
+        if kind <= 2:
+            tokens = lines[k].split(" ")
+            token = cls.TOKENS[int(rng.integers(len(cls.TOKENS)))]
+            tokens[int(rng.integers(len(tokens)))] = token
+            lines[k] = " ".join(tokens)
+        elif kind == 3:
+            del lines[k]
+        elif kind == 4:
+            lines.insert(k, lines[k])
+        elif kind == 5:
+            j = int(rng.integers(len(lines)))
+            lines[k], lines[j] = lines[j], lines[k]
+        else:
+            return text[:int(rng.integers(len(text)))]
+        return "\n".join(lines) + "\n"
+
+    def test_mutated_inputs(self, tmp_path, capsys, fake_cpus):
+        fake_cpus(1)  # a study's rows run in this process
+        inputs = {}
+        meshes = [generate_chebyshev_mesh(8), generate_uniform_mesh(2, 3),
+                  generate_uniform_mesh(3, 2)]
+        for mesh in meshes:
+            d = mesh.dim
+            write_mesh(mesh, tmp_path / f"m{d}.msh")
+            (tmp_path / f"c{d}.txt").write_text(
+                f"dim = {d}\nc = 9.5\nfield = identity\nn_ref = 8\n")
+            inputs[f"m{d}.msh"] = ["analyze", "--mesh", "{}",
+                                   "--calibration", str(tmp_path / f"c{d}.txt")]
+        inputs["c2.txt"] = ["analyze", "--mesh", str(tmp_path / "m2.msh"),
+                            "--calibration", "{}"]
+        (tmp_path / "s1.cfg").write_text(
+            f"case = chebyshev\nn_values = 8, 16\ncalibration = {tmp_path / 'c1.txt'}\n")
+        (tmp_path / "s2.cfg").write_text(
+            "case = skew2d-aspect\nn = 4\naspect_values = 4, 16\nfield = identity\n"
+            f"tol = 1e-8\ncalibration = {tmp_path / 'c2.txt'}\n")
+        inputs["s1.cfg"] = inputs["s2.cfg"] = ["study", "--config", "{}"]
+        texts = {name: (tmp_path / name).read_text() for name in inputs}
+        rng = np.random.default_rng(19)
+        path, csv_path = tmp_path / "mutated", str(tmp_path / "r.csv")
+        codes = set()
+        for case in range(300):
+            name = list(inputs)[int(rng.integers(len(inputs)))]
+            text = self._mutate(rng, texts[name])
+            path.write_text(text)
+            argv = [str(path) if arg == "{}" else arg for arg in inputs[name]]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run([*argv, "--csv", csv_path])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and caught == [], (case, name, text)
+            if code == 1:
+                assert err.count("\n") == 1, (case, name, text, err)
+            elif code == 0:
+                assert err == "", (case, name, text, err)
+            codes.add(code)
+        assert codes >= {0, 1}
+

@@ -112,13 +112,16 @@ class TestConfigParsing:
         (StudyConfig(case="skew3d-n", n_values=(8, 16), aspect=float("inf")),
          "case skew3d-n: aspect must be finite and at least 1, got inf"),
         (StudyConfig(case="skew2d-aspect", n=16, aspect_values=(2.0, 1e300)),
-         "case skew2d-aspect: aspect 1e+300 moves the grid layer across"),
+         "case skew2d-aspect: aspect 1e+300 squeezes the grid layer of the n = 16 mesh "
+         "below floating-point resolution"),
+        (StudyConfig(case="skew3d-n", n_values=(8, 150), aspect=1e15),
+         "case skew3d-n: aspect 1e+15 squeezes the grid layer of the n = 150 mesh"),
         (StudyConfig(case="chebyshev", n_values=(2, 8)),
          "case chebyshev: n must be at least 3, got 2"),
         (StudyConfig(case="uniform", dim=2, n_values=(1, 4)),
          "case uniform: n must be at least 2, got 1"),
     ], ids=["aspect-below-1", "aspect-nan", "skew-n", "aspect-inf", "aspect-huge",
-            "chebyshev-n", "uniform-n"])
+            "aspect-unresolved-at-n", "chebyshev-n", "uniform-n"])
     def test_run_study_rejects_sweep_before_calibrating(self, monkeypatch, cfg, message):
         import meshcond.experiments as experiments
 
@@ -235,20 +238,17 @@ class TestRunStudy:
                     assert a == b
 
 
-def _fake_cpus(monkeypatch, n):
-    """Make this process see ``n`` usable CPUs; pinning a thread to them does nothing."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+@pytest.fixture
+def fork_cpus(monkeypatch, fake_cpus):
+    """``fork_cpus(n)`` makes this process see ``n`` usable CPUs and one
+    thread (whatever its BLAS runs), and lets meshes of any size fork, so a
+    study forks n - 1 workers."""
+    def fork(n):
+        fake_cpus(n)
+        monkeypatch.setattr(bounds, "_os_threads", lambda: 1)
+        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
 
-
-def _use_cpus(monkeypatch, n):
-    """Make this process see ``n`` usable CPUs and one thread (whatever its
-    BLAS runs), and let meshes of any size fork, so a study forks n - 1
-    workers."""
-    _fake_cpus(monkeypatch, n)
-    monkeypatch.setattr(bounds, "_os_threads", lambda: 1)
-    monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
+    return fork
 
 
 def _same_value(a, b):
@@ -257,8 +257,8 @@ def _same_value(a, b):
     return a == b
 
 
-def _run_with_cpus(monkeypatch, cfg, n):
-    _use_cpus(monkeypatch, n)
+def _run_with_cpus(fork_cpus, cfg, n):
+    fork_cpus(n)
     try:
         return run_study(cfg)
     finally:
@@ -311,12 +311,12 @@ class TestParallelStudy:
                     field="rotated:1000,1"),
         StudyConfig(case="chebyshev", n_values=(16, 32, 64, 128)),
     ], ids=["skew2d-aspect", "chebyshev"])
-    def test_rows_and_violations_match_serial(self, monkeypatch, cfg):
+    def test_rows_and_violations_match_serial(self, monkeypatch, cfg, fork_cpus):
         # one fabricated violation per row, so their order is checked too
         monkeypatch.setattr(experiments, "envelope_violations",
                             lambda report: [f"N={report.n_elements}"])
-        serial_rows, serial_violations = _run_with_cpus(monkeypatch, cfg, 1)
-        rows, violations = _run_with_cpus(monkeypatch, cfg, 2)
+        serial_rows, serial_violations = _run_with_cpus(fork_cpus, cfg, 1)
+        rows, violations = _run_with_cpus(fork_cpus, cfg, 2)
         assert len(rows) == len(serial_rows) == len(experiments._sweep(cfg))
         for row, serial in zip(rows, serial_rows):
             for column in CSV_COLUMNS:
@@ -324,24 +324,24 @@ class TestParallelStudy:
         assert violations == serial_violations
         assert len(violations) == len(rows)
 
-    def test_worker_computes_every_second_row(self, monkeypatch):
+    def test_worker_computes_every_second_row(self, monkeypatch, fork_cpus):
         # meshes of one size are dealt out by stride
         monkeypatch.setattr(experiments, "envelope_violations",
                             lambda report: [str(os.getpid())])
         cfg = StudyConfig(case="skew2d-aspect", n=4, aspect_values=(4.0, 8.0, 16.0, 32.0))
-        _, violations = _run_with_cpus(monkeypatch, cfg, 2)
+        _, violations = _run_with_cpus(fork_cpus, cfg, 2)
         pids = [int(v.rpartition(": ")[2]) for v in violations]
         assert pids[0] == pids[2] == os.getpid()
         assert pids[1] == pids[3] != os.getpid()
 
-    def test_one_cpu_forks_nothing(self, monkeypatch):
+    def test_one_cpu_forks_nothing(self, monkeypatch, fork_cpus):
         _refuse_pool(monkeypatch)
-        rows, _ = _run_with_cpus(monkeypatch, StudyConfig(case="chebyshev",
+        rows, _ = _run_with_cpus(fork_cpus, StudyConfig(case="chebyshev",
                                                           n_values=(16, 32)), 1)
         assert [r.n for r in rows] == [16, 32]
 
-    def test_no_affinity_call_runs_serially(self, monkeypatch):
-        _use_cpus(monkeypatch, 2)
+    def test_no_affinity_call_runs_serially(self, monkeypatch, fork_cpus):
+        fork_cpus(2)
         monkeypatch.delattr(os, "sched_getaffinity")
         _refuse_pool(monkeypatch)
         rows, _ = run_study(StudyConfig(case="chebyshev", n_values=(16, 32)))
@@ -349,9 +349,9 @@ class TestParallelStudy:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="threads are counted from /proc")
-    def test_another_thread_runs_serially(self, monkeypatch):
+    def test_another_thread_runs_serially(self, monkeypatch, fake_cpus):
         # a running thread, as a multi-threaded BLAS keeps, must not be forked
-        _fake_cpus(monkeypatch, 2)
+        fake_cpus(2)
         monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
         _refuse_pool(monkeypatch)
         stop = threading.Event()
@@ -375,14 +375,14 @@ class TestParallelStudy:
         (StudyConfig(case="skew3d-aspect", n=12, aspect_values=(4.0, 16.0)), True),
     ], ids=["chebyshev-4096", "chebyshev-10000", "skew2d-9800", "skew2d-10082", "skew3d-7986",
             "skew3d-10368"])
-    def test_forks_only_for_large_meshes(self, monkeypatch, cfg, forks):
+    def test_forks_only_for_large_meshes(self, monkeypatch, cfg, forks, fork_cpus):
         # each row reports the pid that computed it, without building its mesh
         monkeypatch.setattr(experiments, "_build_mesh",
                             lambda cfg, value: (None, *experiments._mesh_size(cfg, value)))
         monkeypatch.setattr(experiments, "analyze_mesh",
                             lambda mesh, *args: (os.getpid(), []))
         threshold = experiments.FORK_MIN_ELEMENTS
-        _use_cpus(monkeypatch, 2)
+        fork_cpus(2)
         monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", threshold)
         pids, _ = run_study(cfg)
         assert multiprocessing.active_children() == []
@@ -408,10 +408,10 @@ class TestParallelStudy:
                             lambda mesh, field, cal, tol, n, aspect: ((os.getpid(), n), []))
 
     @pytest.mark.parametrize("order", SKEW2D_ORDERS, ids=lambda order: "-".join(map(str, order)))
-    def test_rows_balanced_by_elements(self, monkeypatch, order):
+    def test_rows_balanced_by_elements(self, monkeypatch, order, fork_cpus):
         self._stub_rows(monkeypatch)
         cfg = StudyConfig(case="skew2d-n", n_values=order, aspect=8.0)
-        rows, _ = _run_with_cpus(monkeypatch, cfg, 2)
+        rows, _ = _run_with_cpus(fork_cpus, cfg, 2)
         assert [n for _, n in rows] == list(order)
         totals = {}
         for pid, n in rows:
@@ -425,12 +425,12 @@ class TestParallelStudy:
         ((102, 144), "row 102"),
         ((72, 125), "row 72"),
     ], ids=["worker", "worker-first", "parent-first"])
-    def test_balanced_error_in_sweep_order(self, monkeypatch, failures, message):
+    def test_balanced_error_in_sweep_order(self, monkeypatch, failures, message, fork_cpus):
         self._stub_rows(monkeypatch, failures)
         cfg = StudyConfig(case="skew2d-n", n_values=self.SKEW2D_ORDERS[0], aspect=8.0)
         for cpus in (1, 2):
             with pytest.raises(FieldError, match=f"^{message}$"):
-                _run_with_cpus(monkeypatch, cfg, cpus)
+                _run_with_cpus(fork_cpus, cfg, cpus)
 
     @pytest.mark.parametrize("shares, sizes", [
         ([[0, 2], [1, 3]], [5, 5, 5, 5]),
@@ -442,9 +442,9 @@ class TestParallelStudy:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="threads are counted from /proc")
-    def test_python_thread_keeps_study_serial_not_halves(self, monkeypatch):
+    def test_python_thread_keeps_study_serial_not_halves(self, monkeypatch, fake_cpus):
         _count_without_blas(monkeypatch)
-        _fake_cpus(monkeypatch, 2)
+        fake_cpus(2)
         monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
         _refuse_pool(monkeypatch)
         stop = threading.Event()
@@ -471,9 +471,9 @@ class TestParallelStudy:
         rows, _ = run_study(StudyConfig(case="skew2d-aspect", n=8, aspect_values=(4.0, 16.0)))
         assert [r.status for r in rows] == ["ok", "ok"]
 
-    def test_study_processes_split_halves_unpinned(self, monkeypatch):
+    def test_study_processes_split_halves_unpinned(self, monkeypatch, fork_cpus):
         # each row reports the CPUs its helper thread was given
-        _use_cpus(monkeypatch, 2)
+        fork_cpus(2)
         monkeypatch.setattr(bounds, "_os_threads", threading.active_count)
         given, real_pool = [], bounds.ThreadPoolExecutor
 
@@ -492,10 +492,10 @@ class TestParallelStudy:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="threads are counted from /proc")
-    def test_forks_right_after_concurrent_halves(self, monkeypatch):
+    def test_forks_right_after_concurrent_halves(self, monkeypatch, fake_cpus):
         # a joined helper that /proc still lists would keep the study serial
         _count_without_blas(monkeypatch)
-        _fake_cpus(monkeypatch, 2)
+        fake_cpus(2)
         monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
         started = []
         real_pool = bounds.ThreadPoolExecutor
@@ -510,7 +510,7 @@ class TestParallelStudy:
         assert multiprocessing.active_children() == []
         assert len({pid for pid, _ in rows}) == 2
 
-    def test_overflowing_field_raises_as_serial(self, monkeypatch, tmp_path):
+    def test_overflowing_field_raises_as_serial(self, monkeypatch, tmp_path, fork_cpus):
         # the calibration file lets the study reach its rows, which each overflow
         cal_path = tmp_path / "cal.txt"
         save_calibration(CalibrationConstant(c=1.0, dim=2, n_ref=4, field="rotated:1e308,1",
@@ -520,7 +520,7 @@ class TestParallelStudy:
         errors = []
         for cpus in (1, 2):
             with pytest.raises(ValueError) as info:
-                _run_with_cpus(monkeypatch, cfg, cpus)
+                _run_with_cpus(fork_cpus, cfg, cpus)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
         assert "the diffusion field overflows" in errors[0][1]
@@ -531,14 +531,14 @@ class TestParallelStudy:
         ({16.0: "worker row", 64.0: "later row"}, "worker row"),
         ({4.0: "first row", 16.0: "worker row"}, "first row"),
     ], ids=["worker", "worker-first", "parent-first"])
-    def test_first_error_in_sweep_order(self, monkeypatch, failures, message):
+    def test_first_error_in_sweep_order(self, monkeypatch, failures, message, fork_cpus):
         _failing_values(monkeypatch, failures)
         cfg = StudyConfig(case="skew2d-aspect", n=4, aspect_values=(4.0, 16.0, 64.0))
         for cpus in (1, 2):
             with pytest.raises(FieldError, match=f"^{message}$"):
-                _run_with_cpus(monkeypatch, cfg, cpus)
+                _run_with_cpus(fork_cpus, cfg, cpus)
 
-    def test_killed_worker_exits_one(self, monkeypatch, tmp_path, capsys):
+    def test_killed_worker_exits_one(self, monkeypatch, tmp_path, capsys, fork_cpus):
         # the kernel's OOM killer ends a worker this way
         build, parent = experiments._build_mesh, os.getpid()
 
@@ -548,7 +548,7 @@ class TestParallelStudy:
             return build(cfg, value)
 
         monkeypatch.setattr(experiments, "_build_mesh", build_or_die)
-        _use_cpus(monkeypatch, 2)
+        fork_cpus(2)
         config = tmp_path / "study.cfg"
         config.write_text("case = chebyshev\nn_values = 16, 32\n")
         assert cli.main(["study", "--config", str(config),
@@ -558,13 +558,13 @@ class TestParallelStudy:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "s.csv").exists()
 
-    def test_cli_csv_byte_identical(self, monkeypatch, tmp_path):
+    def test_cli_csv_byte_identical(self, monkeypatch, tmp_path, fork_cpus):
         config = tmp_path / "study.cfg"
         config.write_text("case = skew2d-aspect\nn = 8\naspect_values = 4, 16, 64\n"
                           "field = rotated:1000,1\n")
         outputs = []
         for cpus in (1, 2):
-            _use_cpus(monkeypatch, cpus)
+            fork_cpus(cpus)
             out = tmp_path / f"cpus{cpus}.csv"
             assert cli.main(["study", "--config", str(config), "--csv", str(out)]) == 0
             assert multiprocessing.active_children() == []

@@ -575,19 +575,6 @@ class TestMeshIO:
             back = read_mesh(tmp_path / "new.msh")
             assert np.array_equal(back.vertices, mesh.vertices), i
 
-    def test_block_reader_matches_line_reader(self, tmp_path):
-        rng = np.random.default_rng(11)
-        for i in range(30):
-            mesh = random_mesh(rng, i)
-            write_mesh(mesh, tmp_path / "m.msh")
-            lines = (tmp_path / "m.msh").read_text().splitlines()
-            blocks = lines[1:1 + mesh.n_vertices], lines[1 + mesh.n_vertices:]
-            fast = mesh_module._load_blocks(*blocks, mesh.dim, mesh.n_vertices)
-            slow = mesh_module._parse_lines(*blocks, mesh.dim)
-            assert fast is not None
-            for got, want in zip(fast, slow):
-                assert got.dtype == want.dtype and np.array_equal(got, want), i
-
     def test_roundtrip_uniform(self, tmp_path):
         mesh = generate_uniform_mesh(1, 4)
         path = tmp_path / "m.msh"
@@ -625,6 +612,8 @@ class TestMeshIO:
     MALFORMED = {
         "header-field": ("meshcond v1 dim=x nv=2 ne=1\n0 1\n1 1\n0 1\n",
                          "malformed header field 'dim=x'", 1),
+        "header-underscore": ("meshcond v1 dim=1 nv=2_0 ne=1\n0 1\n1 1\n0 1\n",
+                              "malformed header field 'nv=2_0'", 1),
         "header-values": ("meshcond v1 dim=4 nv=2 ne=1\n0 1\n1 1\n0 1\n",
                           "invalid header values dim=4 nv=2 ne=1", 1),
         "vertex-field-count": ("meshcond v1 dim=1 nv=2 ne=1\n0 1\n1\n0 1\n",
@@ -659,6 +648,23 @@ class TestMeshIO:
         "first-of-two-bad-lines": (
             "meshcond v1 dim=2 nv=3 ne=1\n0 0 1\n1 0 1\n0 inf 1\n0 1 2 3\n",
             "non-finite coordinate [0.0, inf]", 4),
+        # Python's float and int read these as 10 and 2; loadtxt does not
+        "underscore-in-coordinate": ("meshcond v1 dim=1 nv=2 ne=1\n1_0 1\n1 1\n0 1\n",
+                                     "bad coordinate in ['1_0']", 2),
+        "arabic-indic-coordinate": ("meshcond v1 dim=1 nv=2 ne=1\n0 1\n\u0661 1\n0 1\n",
+                                    "bad coordinate in ['\u0661']", 3),
+        "arabic-indic-index": ("meshcond v1 dim=1 nv=3 ne=2\n0 1\n0.5 0\n1 1\n0 1\n1 \u0662\n",
+                               "bad vertex index in ['1', '\u0662']", 6),
+        # a bad value in the readable lines comes before a later unreadable line
+        "bad-flag-before-unreadable-line": (
+            "meshcond v1 dim=1 nv=3 ne=2\n0 1\n0.5 2\n1 x\n0 1\n1 2\n",
+            "boundary flag must be 0 or 1, got '2'", 3),
+        "bad-index-before-unreadable-line": (
+            "meshcond v1 dim=1 nv=3 ne=2\n0 1\n0.5 0\n1 1\n0 3\n1 two\n",
+            "vertex index 3 out of range", 5),
+        "vertex-line-before-element-line": (
+            "meshcond v1 dim=1 nv=3 ne=2\n0 1\n0.5 0\n1 1e400\n0 1\n1 two\n",
+            "boundary flag must be 0 or 1, got '1e400'", 4),
     }
 
     @pytest.mark.parametrize("case", MALFORMED)
@@ -670,6 +676,20 @@ class TestMeshIO:
             read_mesh(path)
         assert str(err.value) == f"line {line}: {message}"
         assert err.value.line == line
+
+    @pytest.mark.parametrize("token", ["x", "1_0", "1e400", "0.5", ""])
+    def test_each_bad_line_is_found(self, tmp_path, token):
+        # the first bad line is found wherever it lies in either block
+        write_mesh(generate_uniform_mesh(2, 6), tmp_path / "m.msh")
+        lines = (tmp_path / "m.msh").read_text().splitlines()
+        path = tmp_path / "bad.msh"
+        for k in range(1, len(lines)):
+            tokens = lines[k].split()
+            tokens[-1] = token
+            path.write_text("\n".join([*lines[:k], " ".join(tokens), *lines[k + 1:]]))
+            with pytest.raises(MeshFormatError) as err:
+                read_mesh(path)
+            assert err.value.line == k + 1
 
     def test_non_finite_coordinate(self, tmp_path):
         path = tmp_path / "nan.msh"
