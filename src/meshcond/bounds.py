@@ -11,9 +11,7 @@ calibration of the single generic constant on uniform reference meshes.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -303,22 +301,18 @@ def _eigenvalues_or_none(mat, rel_tol, inverse):
         return None
 
 
-def _os_threads():
-    """Threads of this process, BLAS threads included; 0 if /proc does not list them."""
-    task = "/proc/self/task"
-    return len(os.listdir(task)) if os.path.isdir(task) else 0
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                     "BLIS_NUM_THREADS")
 
 
-def _helper_cpus(d):
-    """CPUs for condition_bounds' helper; none (serial halves) for d = 1, a native
-    thread (a BLAS's) or one CPU.  Alone, a process keeps it off this thread's last
-    CPU, as the scheduler often put both on one; a forked study's may use any."""
-    if d < 2 or _os_threads() != threading.active_count() or len(os.sched_getaffinity(0)) < 2:
-        return set()
-    if multiprocessing.parent_process() or multiprocessing.active_children():
-        return os.sched_getaffinity(0)
-    with open("/proc/thread-self/stat") as fh:  # field 39: the CPU it last ran on
-        return os.sched_getaffinity(0) - {int(fh.read().rpartition(")")[2].split()[36])}
+def _parallel_cpus():
+    """CPUs this process may split its work over: ``len(os.sched_getaffinity(0))``,
+    but 1 without that call or unless the BLAS thread variables that are set, at
+    least one, all say ``1``; a BLAS's own threads would compete with the split."""
+    limits = {os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ}
+    if limits != {"1"} or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def condition_bounds(mesh, field, cal, rel_tol=1e-8):
@@ -328,9 +322,10 @@ def condition_bounds(mesh, field, cal, rel_tol=1e-8):
     lambda_min lower bound into upper bounds on kappa(A) and
     kappa(S^-1 A S^-1), and reports the three-factor decomposition (base
     power of N, D-nonuniformity, volume nonuniformity) separately.
-    Once the one LU of A is made, the scaled eigensolve runs in a helper thread
-    on :func:`_helper_cpus` (SuperLU's solve releases the GIL, see :mod:`.spectral`);
-    results and errors are a serial run's, and no thread outlives the call.
+    Once the one LU of A is made, a 2D or 3D mesh's scaled eigensolve runs in a
+    helper thread if :func:`_parallel_cpus` is above 1 (SuperLU's solve releases
+    the GIL, see :mod:`.spectral`); results and errors are a serial run's, and no
+    thread outlives the call.
     """
     d = mesh.dim
     n = mesh.n_elements
@@ -362,8 +357,8 @@ def condition_bounds(mesh, field, cal, rel_tol=1e-8):
     s = jacobi_scaling(a)
     inverse, inverse_scaled = shared_inverses(a, s)
     scaled = (apply_symmetric_scaling(a, s), rel_tol, inverse_scaled)
-    if cpus := _helper_cpus(d):
-        with ThreadPoolExecutor(1, initializer=os.sched_setaffinity, initargs=(0, cpus)) as pool:
+    if d >= 2 and _parallel_cpus() > 1:
+        with ThreadPoolExecutor(1) as pool:
             helper = pool.submit(_eigenvalues_or_none, *scaled)
             # an error here leaves the helper's result unread, as a serial run never made it
             exact = _eigenvalues_or_none(a, rel_tol, inverse)

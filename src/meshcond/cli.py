@@ -24,6 +24,8 @@ from .experiments import (
     write_study_csv,
 )
 from .mesh import (
+    ascii_float,
+    ascii_int,
     generate_chebyshev_mesh,
     generate_skew_mesh_2d,
     generate_skew_mesh_3d,
@@ -51,9 +53,9 @@ def _build_parser():
 
     gen = sub.add_parser("generate", help="generate a mesh file")
     gen.add_argument("--case", required=True, choices=GENERATE_CASES)
-    gen.add_argument("--n", required=True, type=int,
+    gen.add_argument("--n", required=True, type=ascii_int,
                      help="subdivisions per axis (element count for chebyshev)")
-    gen.add_argument("--aspect", type=float,
+    gen.add_argument("--aspect", type=ascii_float,
                      help="target aspect ratio for the skew cases (default 1)")
     gen.add_argument("-o", "--output", required=True)
 
@@ -62,7 +64,7 @@ def _build_parser():
     ana.add_argument("--field", default="identity")
     ana.add_argument("--calibration", default="auto",
                      help="calibration file, or 'auto' to fit on a uniform mesh")
-    ana.add_argument("--tol", type=float, default=1e-8)
+    ana.add_argument("--tol", type=ascii_float, default=1e-8)
     ana.add_argument("--csv", required=True)
 
     stu = sub.add_parser("study", help="run a sweep study from a config file")
@@ -70,9 +72,9 @@ def _build_parser():
     stu.add_argument("--csv", required=True)
 
     cal = sub.add_parser("calibrate", help="fit the bound constant for a dimension")
-    cal.add_argument("--dim", required=True, type=int, choices=(1, 2, 3))
+    cal.add_argument("--dim", required=True, type=ascii_int, choices=(1, 2, 3))
     cal.add_argument("--field", default="identity")
-    cal.add_argument("--n-ref", required=True, type=int)
+    cal.add_argument("--n-ref", required=True, type=ascii_int)
     cal.add_argument("-o", "--output", required=True)
     return parser
 

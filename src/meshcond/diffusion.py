@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import DegenerateElementError, element_edge_matrices, reference_simplex
+from .mesh import DegenerateElementError, ascii_float, element_edge_matrices, reference_simplex
 
 __all__ = [
     "FieldError",
@@ -125,7 +125,7 @@ def parse_field_spec(spec, dim):
 def _spec_numbers(spec, prefix):
     """The comma-separated numbers after ``prefix``; FieldError names the spec."""
     try:
-        return [float(v) for v in spec[len(prefix):].split(",")]
+        return [ascii_float(v) for v in spec[len(prefix):].split(",")]
     except ValueError:
         raise FieldError(f"bad number in field spec {spec!r}") from None
 

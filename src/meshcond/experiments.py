@@ -9,17 +9,17 @@ and checks the two-sided envelopes inline.
 from __future__ import annotations
 
 import math
-import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from multiprocessing import get_context
 
 import numpy as np
 
-from . import bounds
 from .assembly import assemble_stiffness  # unused; perfbench/tracing.py patches it
 from .bounds import (
     CalibrationConstant,
+    _parallel_cpus,
     auto_reference_subdivisions,
     calibrate_constant,
     check_calibration,
@@ -27,6 +27,8 @@ from .bounds import (
 )
 from .diffusion import parse_field_spec
 from .mesh import (
+    ascii_float,
+    ascii_int,
     check_generator_args,
     generate_chebyshev_mesh,
     generate_skew_mesh_2d,
@@ -164,9 +166,9 @@ def _read_key_values(path, casts, required):
 
 
 _STUDY_CASTS = {f.name: str for f in dataclass_fields(StudyConfig)} | {
-    "n_values": lambda text: _parse_sweep(text, int),
-    "aspect_values": lambda text: _parse_sweep(text, float),
-    "n": int, "aspect": float, "dim": int, "tol": float,
+    "n_values": lambda text: _parse_sweep(text, ascii_int),
+    "aspect_values": lambda text: _parse_sweep(text, ascii_float),
+    "n": ascii_int, "aspect": ascii_float, "dim": ascii_int, "tol": ascii_float,
 }
 
 
@@ -298,7 +300,22 @@ def analyze_mesh(mesh, field, cal, tol=1e-8, n_label=0, aspect_label=1.0):
     return row, envelope_violations(report)
 
 
-_CALIBRATION_CASTS = {"dim": int, "c": float, "field": str, "n_ref": int}
+def _checked_int(key, ok, need):
+    """Cast of ``key``'s value: an int, with ValueError unless ``ok(value)``."""
+    def cast(text):
+        if not ok(value := ascii_int(text)):
+            raise ValueError(f"{key} must be {need}, got {value}")
+        return value
+
+    return cast
+
+
+_CALIBRATION_CASTS = {
+    "dim": _checked_int("dim", lambda dim: dim in (1, 2, 3), "1, 2 or 3"),
+    "c": ascii_float, "field": str,
+    # 2 is the uniform generator's least n
+    "n_ref": _checked_int("n_ref", lambda n_ref: n_ref >= 2, "at least 2"),
+}
 
 
 def save_calibration(cal, path):
@@ -309,7 +326,8 @@ def save_calibration(cal, path):
 
 
 def load_calibration(path):
-    """Read a file written by :func:`save_calibration`; every key is required."""
+    """Read a file written by :func:`save_calibration`; every key is required,
+    ``dim`` must be 1, 2 or 3 and ``n_ref`` at least 2."""
     raw = _read_key_values(path, _CALIBRATION_CASTS, required=tuple(_CALIBRATION_CASTS))
     try:
         if not 0.0 < raw["c"] < math.inf:
@@ -359,20 +377,19 @@ def _shares(sizes, p):
 
 def run_study(cfg):
     """Run a study; returns (rows, envelope violation messages) as a serial run
-    would.  After calibrating, a single-threaded process computes the rows of
-    a sweep whose largest mesh has FORK_MIN_ELEMENTS elements or more in up to
-    len(os.sched_getaffinity(0)) forked processes, shared by :func:`_shares`;
-    any other thread, such as a multi-threaded BLAS's, would compete with the
-    workers or be copied into them mid-call, so then the rows run here alone."""
+    would.  After calibrating, a process running no other Python thread (it would
+    be copied into the workers mid-call) computes the rows of a sweep whose largest
+    mesh has FORK_MIN_ELEMENTS elements or more in up to :func:`_parallel_cpus`
+    forked processes, shared by :func:`_shares`; that is 1 unless the BLAS thread
+    variables say one thread, as a BLAS's own threads would compete with them."""
     _check_config(cfg)
     dim = study_dimension(cfg)
     field = parse_field_spec(cfg.field, dim)
     cal = resolve_calibration(cfg.calibration, dim, field)
     values = _sweep(cfg)
     sizes = [math.factorial(dim) * _mesh_size(cfg, v)[0] ** dim for v in values]
-    forks = (max(sizes) >= FORK_MIN_ELEMENTS and bounds._os_threads() == 1
-             and hasattr(os, "sched_getaffinity"))
-    p = min(len(values), len(os.sched_getaffinity(0))) if forks else 1
+    forks = max(sizes) >= FORK_MIN_ELEMENTS and threading.active_count() == 1
+    p = min(len(values), _parallel_cpus()) if forks else 1
     shares = _shares(sizes, p)
     if p == 1:
         parts = [_study_rows(cfg, field, cal, values)]

@@ -69,6 +69,22 @@ def _moved_layer(n, aspect):
     return j0, new_pos
 
 
+def _ascii_number(cast):
+    """``cast`` (``int`` or ``float``) of ASCII text without ``_`` only, as ``np.loadtxt``
+    reads numbers; Python's own also read ``1_0`` and ``\u0664``.  Config and
+    calibration values, field specs and command-line options are read with these."""
+    def read(text):
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"bad {cast.__name__} {text!r}: a number is ASCII, without '_'")
+        return cast(text)
+
+    read.__name__ = cast.__name__  # argparse names the type in its error
+    return read
+
+
+ascii_int, ascii_float = _ascii_number(int), _ascii_number(float)
+
+
 class MeshFormatError(ValueError):
     """Raised when a mesh file cannot be parsed; carries the offending line."""
 

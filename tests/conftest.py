@@ -1,5 +1,4 @@
 import os
-import threading
 
 import pytest
 
@@ -48,27 +47,15 @@ def splu_calls(monkeypatch):
 
 
 @pytest.fixture
-def fake_cpus(monkeypatch):
-    """``fake_cpus(n)`` makes this process see ``n`` usable CPUs, and pinning
-    a thread to them does nothing."""
-    def fake(n):
+def use_cpus(monkeypatch):
+    """``use_cpus(n)`` makes this process see ``n`` usable CPUs and sets every
+    BLAS thread variable to ``1``, so ``bounds._parallel_cpus()`` is ``n``: with
+    n >= 2 a study forks and ``condition_bounds`` solves the two halves of a 2D
+    or 3D mesh in two threads."""
+    def use(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                             raising=False)
-        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None,
-                            raising=False)
+        for var in bounds._BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
 
-    return fake
-
-
-@pytest.fixture
-def use_cpus(monkeypatch, fake_cpus):
-    """``use_cpus(n)`` is ``fake_cpus(n)`` in a process whose threads are
-    counted as its Python threads alone.
-
-    That is as if its BLAS ran none of its own (``OPENBLAS_NUM_THREADS=1``)
-    and no joined thread were still listed in /proc, so with n >= 2
-    ``condition_bounds`` solves the two halves of a 2D or 3D mesh in two
-    threads.
-    """
-    monkeypatch.setattr(bounds, "_os_threads", threading.active_count)
-    return fake_cpus
+    return use

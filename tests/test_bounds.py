@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import multiprocessing
 import os
 import sys
 import threading
@@ -520,8 +519,29 @@ def _is_scaled(mat):
     return np.allclose(mat.diagonal(), 1.0)
 
 
+@pytest.mark.parametrize("env, cpus, expected", [
+    ({}, 2, 1),
+    ({var: "1" for var in bounds_mod._BLAS_THREAD_VARS}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, None, 1),
+    ({var: "1" for var in bounds_mod._BLAS_THREAD_VARS}, 1, 1),
+], ids=["unset", "all-one", "openblas-one", "omp-four", "no-affinity-call", "one-cpu"])
+def test_parallel_cpus(monkeypatch, env, cpus, expected):
+    for var in bounds_mod._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    assert bounds_mod._parallel_cpus() == expected
+
+
 class TestConcurrentHalves:
-    """With two usable CPUs and no native thread, condition_bounds solves the
+    """With two usable CPUs and one BLAS thread, condition_bounds solves the
     Jacobi-scaled half in a helper thread, with the serial run's results."""
 
     @staticmethod
@@ -607,47 +627,16 @@ class TestConcurrentHalves:
         assert rep.exact is not None and rep.exact_scaled is not None
 
     def test_native_thread_keeps_halves_serial(self, monkeypatch, use_cpus, pools):
+        # a BLAS thread variable other than 1 lets the BLAS run threads of its own
         use_cpus(2)
-        assert len(bounds_mod._helper_cpus(2)) == len(bounds_mod._helper_cpus(3)) == 1
-        assert bounds_mod._helper_cpus(1) == set()
-        monkeypatch.setattr(bounds_mod, "_os_threads", lambda: threading.active_count() + 1)
-        assert bounds_mod._helper_cpus(2) == set()
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
         condition_bounds(*self.case())
         assert pools == []
-
-    def test_study_processes_leave_the_helper_unpinned(self, monkeypatch, use_cpus):
-        use_cpus(2)
-        assert len(bounds_mod._helper_cpus(2)) == 1
-        monkeypatch.setattr(multiprocessing, "active_children", lambda: [object()])
-        assert bounds_mod._helper_cpus(2) == {0, 1}
-        monkeypatch.setattr(multiprocessing, "active_children", list)
-        monkeypatch.setattr(multiprocessing, "parent_process", object)
-        assert bounds_mod._helper_cpus(2) == {0, 1}
 
     def test_one_cpu_keeps_halves_serial(self, use_cpus, pools):
         use_cpus(1)
-        assert bounds_mod._helper_cpus(2) == set()
         condition_bounds(*self.case())
         assert pools == []
-
-    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2
-                        or not os.path.exists("/proc/thread-self/stat"),
-                        reason="needs two usable CPUs and /proc")
-    def test_helper_runs_off_the_callers_cpu(self, monkeypatch, pools):
-        monkeypatch.setattr(bounds_mod, "_os_threads", threading.active_count)
-        allowed, caller = os.sched_getaffinity(0), threading.get_ident()
-        seen = {}
-        real = bounds_mod._eigenvalues_or_none
-
-        def spy(*args):
-            seen[threading.get_ident() == caller] = os.sched_getaffinity(0)
-            return real(*args)
-
-        monkeypatch.setattr(bounds_mod, "_eigenvalues_or_none", spy)
-        condition_bounds(*self.case())
-        assert len(pools) == 1
-        assert seen[True] == allowed == os.sched_getaffinity(0)
-        assert seen[False] < allowed and len(seen[False]) == len(allowed) - 1
 
     def test_concurrent_solves_bitwise_equal_to_sequential(self):
         # both solves of one factor, each from two threads, with a short switch interval

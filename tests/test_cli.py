@@ -51,6 +51,21 @@ class TestGenerate:
         code = run(["generate", "--case", "chebyshev", "--n", "1", "-o", str(out)])
         assert code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--case", "uniform2d", "--n", "\u0664"],
+         "meshcond generate: error: argument --n: invalid int value: '\u0664'"),
+        (["generate", "--case", "skew2d", "--n", "8", "--aspect", "1_6"],
+         "meshcond generate: error: argument --aspect: invalid float value: '1_6'"),
+        (["calibrate", "--n-ref", "8", "--dim", "\u0662"],
+         "meshcond calibrate: error: argument --dim: invalid int value: '\u0662'"),
+    ], ids=["n-arabic-indic", "aspect-underscore", "dim-arabic-indic"])
+    def test_non_ascii_number_option_exits_one(self, tmp_path, capsys, argv, message):
+        # Python's int and float read each value
+        out = tmp_path / "x.out"
+        assert run([*argv, "-o", str(out)]) == 1
+        assert capsys.readouterr().err.endswith(f"\n{message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("case, n, aspect", [
         ("skew2d", 8, "1e16"), ("skew3d", 150, "1e15"), ("skew2d", 4, "1e300")])
     def test_unresolved_layer_exits_one(self, tmp_path, capsys, case, n, aspect):
@@ -135,8 +150,16 @@ class TestCalibrationFile:
         (CAL.format(field="identity") + "order = 1\n", "cal.txt:5: unknown key 'order'"),
         (CAL.format(field="checkerboard"), "unknown field spec 'checkerboard'"),
         (CAL.format(field="identity").replace("9.5", "nan"), "must be positive"),
+        (CAL.format(field="identity").replace("n_ref = 8", "n_ref = \u0668"),
+         "cal.txt:4: bad int '\u0668': a number is ASCII, without '_'"),
+        (CAL.format(field="identity").replace("dim = 2", "dim = 7"),
+         "cal.txt:1: dim must be 1, 2 or 3, got 7"),
+        (CAL.format(field="identity").replace("dim = 2", "dim = -1"),
+         "cal.txt:1: dim must be 1, 2 or 3, got -1"),
+        (CAL.format(field="identity").replace("n_ref = 8", "n_ref = -3"),
+         "cal.txt:4: n_ref must be at least 2, got -3"),
     ], ids=["junk-line", "no-field", "repeated-key", "unknown-key", "unknown-field",
-            "nan-constant"])
+            "nan-constant", "arabic-indic-n-ref", "dim-7", "dim-negative", "n-ref-negative"])
     def test_malformed_file_exits_one(self, tmp_path, capsys, cal_text, message):
         assert self.analyze(tmp_path, cal_text, "identity") == 1
         err = capsys.readouterr().err
@@ -550,8 +573,8 @@ class TestMutationFuzz:
             return text[:int(rng.integers(len(text)))]
         return "\n".join(lines) + "\n"
 
-    def test_mutated_inputs(self, tmp_path, capsys, fake_cpus):
-        fake_cpus(1)  # a study's rows run in this process
+    def test_mutated_inputs(self, tmp_path, capsys, use_cpus):
+        use_cpus(1)  # a study's rows run in this process
         inputs = {}
         meshes = [generate_chebyshev_mesh(8), generate_uniform_mesh(2, 3),
                   generate_uniform_mesh(3, 2)]

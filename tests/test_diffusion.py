@@ -83,7 +83,8 @@ class TestConstruction:
             parse_field_spec(spec, 2)
 
 
-    @pytest.mark.parametrize("spec", ["const:", "const:1,x,0,1", "rotated:1e3,x"])
+    @pytest.mark.parametrize("spec", ["const:", "const:1,x,0,1", "rotated:1e3,x",
+                                      "rotated:1_000,1", "const:\u0661,0,0,1"])
     def test_bad_number_names_spec(self, spec):
         with pytest.raises(FieldError) as err:
             parse_field_spec(spec, 2)

@@ -6,12 +6,10 @@ import os
 import re
 import signal
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from meshcond import bounds, cli, experiments
 from meshcond.bounds import CalibrationConstant
@@ -157,7 +155,11 @@ class TestConfigParsing:
         ("tol 1e-3", "study.cfg:3: expected 'key = value'"),
         ("tol = tight", "study.cfg:3: could not convert string to float: 'tight'"),
         ("dim = 2.5", "study.cfg:3: invalid literal for int()"),
-    ], ids=["unknown-key", "repeated-key", "no-equals", "bad-float", "bad-int"])
+        # Python's int and float read these two as 16 and 1e-8
+        ("aspect_values = 8, 1_6", "study.cfg:3: bad float '1_6': a number is ASCII"),
+        ("tol = \u0661e-8", "study.cfg:3: bad float '\u0661e-8': a number is ASCII"),
+    ], ids=["unknown-key", "repeated-key", "no-equals", "bad-float", "bad-int",
+            "sweep-underscore", "arabic-indic-tol"])
     def test_bad_line_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "study.cfg"
         path.write_text(f"case = chebyshev\nn_values = 64, 128, 256\n{line}\n")
@@ -238,17 +240,8 @@ class TestRunStudy:
                     assert a == b
 
 
-@pytest.fixture
-def fork_cpus(monkeypatch, fake_cpus):
-    """``fork_cpus(n)`` makes this process see ``n`` usable CPUs and one
-    thread (whatever its BLAS runs), and lets meshes of any size fork, so a
-    study forks n - 1 workers."""
-    def fork(n):
-        fake_cpus(n)
-        monkeypatch.setattr(bounds, "_os_threads", lambda: 1)
-        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
-
-    return fork
+# the limit as shipped; TestParallelStudy lowers it to 0 for each test
+FORK_MIN_ELEMENTS = experiments.FORK_MIN_ELEMENTS
 
 
 def _same_value(a, b):
@@ -257,8 +250,8 @@ def _same_value(a, b):
     return a == b
 
 
-def _run_with_cpus(fork_cpus, cfg, n):
-    fork_cpus(n)
+def _run_with_cpus(use_cpus, cfg, n):
+    use_cpus(n)
     try:
         return run_study(cfg)
     finally:
@@ -272,20 +265,18 @@ def _refuse_pool(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
 
 
-def _count_without_blas(monkeypatch):
-    """Count this process's threads from /proc, less those its BLAS started.
+@pytest.fixture
+def helpers(monkeypatch):
+    """The pid of the process that started each helper thread of condition_bounds;
+    a forked worker appends to its own copy."""
+    started, real_pool = [], bounds.ThreadPoolExecutor
 
-    A multi-threaded OpenBLAS stops its threads when the process forks and
-    starts them again at its next large call, so one is made first, through
-    numpy's BLAS and through scipy's, which may be another library."""
-    a = np.ones((512, 512))
-    a @ a, scipy.linalg.blas.dgemm(1.0, a, a)
-    real, counts = bounds._os_threads, []
-    for _ in range(3):  # a thread joined by an earlier test may still be listed
-        time.sleep(0.01)
-        counts.append(real() - threading.active_count())
-    native = min(counts)
-    monkeypatch.setattr(bounds, "_os_threads", lambda: real() - native)
+    def pool(*args, **kwargs):
+        started.append(os.getpid())
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "ThreadPoolExecutor", pool)
+    return started
 
 
 def _failing_values(monkeypatch, failures):
@@ -306,17 +297,21 @@ class TestParallelStudy:
     """With 2 usable CPUs the study forks one worker, which computes every
     second row; rows, messages and errors are those of the serial run."""
 
+    @pytest.fixture(autouse=True)
+    def small_meshes_fork(self, monkeypatch):
+        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
+
     @pytest.mark.parametrize("cfg", [
         StudyConfig(case="skew2d-aspect", n=8, aspect_values=(4.0, 16.0, 64.0),
                     field="rotated:1000,1"),
         StudyConfig(case="chebyshev", n_values=(16, 32, 64, 128)),
     ], ids=["skew2d-aspect", "chebyshev"])
-    def test_rows_and_violations_match_serial(self, monkeypatch, cfg, fork_cpus):
+    def test_rows_and_violations_match_serial(self, monkeypatch, cfg, use_cpus):
         # one fabricated violation per row, so their order is checked too
         monkeypatch.setattr(experiments, "envelope_violations",
                             lambda report: [f"N={report.n_elements}"])
-        serial_rows, serial_violations = _run_with_cpus(fork_cpus, cfg, 1)
-        rows, violations = _run_with_cpus(fork_cpus, cfg, 2)
+        serial_rows, serial_violations = _run_with_cpus(use_cpus, cfg, 1)
+        rows, violations = _run_with_cpus(use_cpus, cfg, 2)
         assert len(rows) == len(serial_rows) == len(experiments._sweep(cfg))
         for row, serial in zip(rows, serial_rows):
             for column in CSV_COLUMNS:
@@ -324,41 +319,37 @@ class TestParallelStudy:
         assert violations == serial_violations
         assert len(violations) == len(rows)
 
-    def test_worker_computes_every_second_row(self, monkeypatch, fork_cpus):
+    def test_worker_computes_every_second_row(self, monkeypatch, use_cpus):
         # meshes of one size are dealt out by stride
         monkeypatch.setattr(experiments, "envelope_violations",
                             lambda report: [str(os.getpid())])
         cfg = StudyConfig(case="skew2d-aspect", n=4, aspect_values=(4.0, 8.0, 16.0, 32.0))
-        _, violations = _run_with_cpus(fork_cpus, cfg, 2)
+        _, violations = _run_with_cpus(use_cpus, cfg, 2)
         pids = [int(v.rpartition(": ")[2]) for v in violations]
         assert pids[0] == pids[2] == os.getpid()
         assert pids[1] == pids[3] != os.getpid()
 
-    def test_one_cpu_forks_nothing(self, monkeypatch, fork_cpus):
+    def test_one_cpu_forks_nothing(self, monkeypatch, use_cpus):
         _refuse_pool(monkeypatch)
-        rows, _ = _run_with_cpus(fork_cpus, StudyConfig(case="chebyshev",
-                                                          n_values=(16, 32)), 1)
+        rows, _ = _run_with_cpus(use_cpus, StudyConfig(case="chebyshev",
+                                                         n_values=(16, 32)), 1)
         assert [r.n for r in rows] == [16, 32]
 
-    def test_no_affinity_call_runs_serially(self, monkeypatch, fork_cpus):
-        fork_cpus(2)
+    def test_no_affinity_call_runs_serially(self, monkeypatch, use_cpus):
+        use_cpus(2)
         monkeypatch.delattr(os, "sched_getaffinity")
         _refuse_pool(monkeypatch)
         rows, _ = run_study(StudyConfig(case="chebyshev", n_values=(16, 32)))
         assert [r.n for r in rows] == [16, 32]
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
-                        reason="threads are counted from /proc")
-    def test_another_thread_runs_serially(self, monkeypatch, fake_cpus):
-        # a running thread, as a multi-threaded BLAS keeps, must not be forked
-        fake_cpus(2)
-        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
+    def test_another_thread_runs_serially(self, monkeypatch, use_cpus):
+        # a running Python thread must not be copied into a worker mid-call
+        use_cpus(2)
         _refuse_pool(monkeypatch)
         stop = threading.Event()
         waiter = threading.Thread(target=stop.wait)
         waiter.start()
         try:
-            assert bounds._os_threads() >= 2
             rows, _ = run_study(StudyConfig(case="chebyshev", n_values=(16, 32)))
         finally:
             stop.set()
@@ -375,15 +366,14 @@ class TestParallelStudy:
         (StudyConfig(case="skew3d-aspect", n=12, aspect_values=(4.0, 16.0)), True),
     ], ids=["chebyshev-4096", "chebyshev-10000", "skew2d-9800", "skew2d-10082", "skew3d-7986",
             "skew3d-10368"])
-    def test_forks_only_for_large_meshes(self, monkeypatch, cfg, forks, fork_cpus):
+    def test_forks_only_for_large_meshes(self, monkeypatch, cfg, forks, use_cpus):
         # each row reports the pid that computed it, without building its mesh
         monkeypatch.setattr(experiments, "_build_mesh",
                             lambda cfg, value: (None, *experiments._mesh_size(cfg, value)))
         monkeypatch.setattr(experiments, "analyze_mesh",
                             lambda mesh, *args: (os.getpid(), []))
-        threshold = experiments.FORK_MIN_ELEMENTS
-        fork_cpus(2)
-        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", threshold)
+        use_cpus(2)
+        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", FORK_MIN_ELEMENTS)
         pids, _ = run_study(cfg)
         assert multiprocessing.active_children() == []
         assert os.getpid() in pids
@@ -408,10 +398,10 @@ class TestParallelStudy:
                             lambda mesh, field, cal, tol, n, aspect: ((os.getpid(), n), []))
 
     @pytest.mark.parametrize("order", SKEW2D_ORDERS, ids=lambda order: "-".join(map(str, order)))
-    def test_rows_balanced_by_elements(self, monkeypatch, order, fork_cpus):
+    def test_rows_balanced_by_elements(self, monkeypatch, order, use_cpus):
         self._stub_rows(monkeypatch)
         cfg = StudyConfig(case="skew2d-n", n_values=order, aspect=8.0)
-        rows, _ = _run_with_cpus(fork_cpus, cfg, 2)
+        rows, _ = _run_with_cpus(use_cpus, cfg, 2)
         assert [n for _, n in rows] == list(order)
         totals = {}
         for pid, n in rows:
@@ -425,12 +415,12 @@ class TestParallelStudy:
         ((102, 144), "row 102"),
         ((72, 125), "row 72"),
     ], ids=["worker", "worker-first", "parent-first"])
-    def test_balanced_error_in_sweep_order(self, monkeypatch, failures, message, fork_cpus):
+    def test_balanced_error_in_sweep_order(self, monkeypatch, failures, message, use_cpus):
         self._stub_rows(monkeypatch, failures)
         cfg = StudyConfig(case="skew2d-n", n_values=self.SKEW2D_ORDERS[0], aspect=8.0)
         for cpus in (1, 2):
             with pytest.raises(FieldError, match=f"^{message}$"):
-                _run_with_cpus(fork_cpus, cfg, cpus)
+                _run_with_cpus(use_cpus, cfg, cpus)
 
     @pytest.mark.parametrize("shares, sizes", [
         ([[0, 2], [1, 3]], [5, 5, 5, 5]),
@@ -440,28 +430,27 @@ class TestParallelStudy:
     def test_shares(self, shares, sizes):
         assert experiments._shares(sizes, len(shares)) == shares
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
-                        reason="threads are counted from /proc")
-    def test_python_thread_keeps_study_serial_not_halves(self, monkeypatch, fake_cpus):
-        _count_without_blas(monkeypatch)
-        fake_cpus(2)
-        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
+    def test_python_thread_keeps_study_serial_not_halves(self, monkeypatch, use_cpus,
+                                                          helpers):
+        use_cpus(2)
         _refuse_pool(monkeypatch)
         stop = threading.Event()
         waiter = threading.Thread(target=stop.wait)
         waiter.start()
         try:
-            assert bounds._helper_cpus(2)
-            rows, _ = run_study(StudyConfig(case="chebyshev", n_values=(16, 32)))
+            rows, _ = run_study(StudyConfig(case="skew2d-aspect", n=8,
+                                            aspect_values=(4.0, 16.0)))
         finally:
             stop.set()
             waiter.join(timeout=10)
-        assert [r.n for r in rows] == [16, 32]
+        assert not waiter.is_alive()
+        assert [r.status for r in rows] == ["ok", "ok"]
+        assert helpers == [os.getpid()] * 2
 
     def test_native_thread_keeps_both_serial(self, monkeypatch, use_cpus):
+        # a BLAS thread variable other than 1 lets the BLAS run threads of its own
         use_cpus(2)
-        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
-        monkeypatch.setattr(bounds, "_os_threads", lambda: threading.active_count() + 1)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         _refuse_pool(monkeypatch)
 
         def refused(*args, **kwargs):
@@ -471,46 +460,30 @@ class TestParallelStudy:
         rows, _ = run_study(StudyConfig(case="skew2d-aspect", n=8, aspect_values=(4.0, 16.0)))
         assert [r.status for r in rows] == ["ok", "ok"]
 
-    def test_study_processes_split_halves_unpinned(self, monkeypatch, fork_cpus):
-        # each row reports the CPUs its helper thread was given
-        fork_cpus(2)
-        monkeypatch.setattr(bounds, "_os_threads", threading.active_count)
-        given, real_pool = [], bounds.ThreadPoolExecutor
-
-        def pool(*args, initargs, **kwargs):
-            given.append(initargs[1])
-            return real_pool(*args, initargs=initargs, **kwargs)
-
-        monkeypatch.setattr(bounds, "ThreadPoolExecutor", pool)
+    def test_study_processes_split_halves(self, monkeypatch, use_cpus, helpers):
+        # each row reports its process and the helper threads that process started
+        use_cpus(2)
         monkeypatch.setattr(experiments, "envelope_violations",
-                            lambda report: [f"{os.getpid()} {sorted(given[-1])}"])
+                            lambda report: [f"{os.getpid()} {helpers.count(os.getpid())}"])
         cfg = StudyConfig(case="skew2d-aspect", n=8, aspect_values=(4.0, 16.0))
         _, violations = run_study(cfg)
-        reports = [v.rpartition(": ")[2].partition(" ") for v in violations]
-        assert len({pid for pid, _, _ in reports}) == 2
-        assert [cpus for _, _, cpus in reports] == ["[0, 1]"] * 2
+        reports = [v.rpartition(": ")[2].split() for v in violations]
+        assert len({pid for pid, _ in reports}) == 2
+        assert [count for _, count in reports] == ["1", "1"]
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
-                        reason="threads are counted from /proc")
-    def test_forks_right_after_concurrent_halves(self, monkeypatch, fake_cpus):
-        # a joined helper that /proc still lists would keep the study serial
-        _count_without_blas(monkeypatch)
-        fake_cpus(2)
-        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
-        started = []
-        real_pool = bounds.ThreadPoolExecutor
-        monkeypatch.setattr(bounds, "ThreadPoolExecutor", lambda *args, **kwargs:
-                            started.append(args) or real_pool(*args, **kwargs))
+    def test_forks_right_after_concurrent_halves(self, monkeypatch, use_cpus, helpers):
+        # the helper of the halves is joined, so the study may fork
+        use_cpus(2)
         field = parse_field_spec("identity", 2)
         cal = experiments.resolve_calibration("auto", 2, field)
         row, _ = experiments.analyze_mesh(generate_skew_mesh_2d(8, 4.0), field, cal)
-        assert row.status == "ok" and started == [(1,)]
+        assert row.status == "ok" and helpers == [os.getpid()]
         self._stub_rows(monkeypatch)
         rows, _ = run_study(StudyConfig(case="skew2d-aspect", n=8, aspect_values=(4.0, 16.0)))
         assert multiprocessing.active_children() == []
         assert len({pid for pid, _ in rows}) == 2
 
-    def test_overflowing_field_raises_as_serial(self, monkeypatch, tmp_path, fork_cpus):
+    def test_overflowing_field_raises_as_serial(self, monkeypatch, tmp_path, use_cpus):
         # the calibration file lets the study reach its rows, which each overflow
         cal_path = tmp_path / "cal.txt"
         save_calibration(CalibrationConstant(c=1.0, dim=2, n_ref=4, field="rotated:1e308,1",
@@ -520,7 +493,7 @@ class TestParallelStudy:
         errors = []
         for cpus in (1, 2):
             with pytest.raises(ValueError) as info:
-                _run_with_cpus(fork_cpus, cfg, cpus)
+                _run_with_cpus(use_cpus, cfg, cpus)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
         assert "the diffusion field overflows" in errors[0][1]
@@ -531,14 +504,14 @@ class TestParallelStudy:
         ({16.0: "worker row", 64.0: "later row"}, "worker row"),
         ({4.0: "first row", 16.0: "worker row"}, "first row"),
     ], ids=["worker", "worker-first", "parent-first"])
-    def test_first_error_in_sweep_order(self, monkeypatch, failures, message, fork_cpus):
+    def test_first_error_in_sweep_order(self, monkeypatch, failures, message, use_cpus):
         _failing_values(monkeypatch, failures)
         cfg = StudyConfig(case="skew2d-aspect", n=4, aspect_values=(4.0, 16.0, 64.0))
         for cpus in (1, 2):
             with pytest.raises(FieldError, match=f"^{message}$"):
-                _run_with_cpus(fork_cpus, cfg, cpus)
+                _run_with_cpus(use_cpus, cfg, cpus)
 
-    def test_killed_worker_exits_one(self, monkeypatch, tmp_path, capsys, fork_cpus):
+    def test_killed_worker_exits_one(self, monkeypatch, tmp_path, capsys, use_cpus):
         # the kernel's OOM killer ends a worker this way
         build, parent = experiments._build_mesh, os.getpid()
 
@@ -548,7 +521,7 @@ class TestParallelStudy:
             return build(cfg, value)
 
         monkeypatch.setattr(experiments, "_build_mesh", build_or_die)
-        fork_cpus(2)
+        use_cpus(2)
         config = tmp_path / "study.cfg"
         config.write_text("case = chebyshev\nn_values = 16, 32\n")
         assert cli.main(["study", "--config", str(config),
@@ -558,13 +531,13 @@ class TestParallelStudy:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "s.csv").exists()
 
-    def test_cli_csv_byte_identical(self, monkeypatch, tmp_path, fork_cpus):
+    def test_cli_csv_byte_identical(self, monkeypatch, tmp_path, use_cpus):
         config = tmp_path / "study.cfg"
         config.write_text("case = skew2d-aspect\nn = 8\naspect_values = 4, 16, 64\n"
                           "field = rotated:1000,1\n")
         outputs = []
         for cpus in (1, 2):
-            fork_cpus(cpus)
+            use_cpus(cpus)
             out = tmp_path / f"cpus{cpus}.csv"
             assert cli.main(["study", "--config", str(config), "--csv", str(out)]) == 0
             assert multiprocessing.active_children() == []
