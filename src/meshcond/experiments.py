@@ -201,6 +201,7 @@ def _check_config(cfg):
             check_generator_args(family, *_mesh_size(cfg, value))
         except ValueError as exc:
             raise ValueError(f"case {cfg.case}: {exc}") from exc
+    parse_field_spec(cfg.field, study_dimension(cfg))
     check_tolerance(cfg.tol, "tol")
 
 

@@ -424,8 +424,9 @@ class TestSharedFactorization:
         return mesh, field, assemble_stiffness(mesh, field)
 
     @staticmethod
-    def direct_lambda_min(a):
-        """lambda_min from ``eigsh`` factoring A itself, with spectral's settings."""
+    def direct_lambda_min(a, opinv=None):
+        """lambda_min from ``eigsh`` with spectral's settings; it factors A
+        itself with SuperLU's defaults unless ``opinv`` is given."""
         import scipy.sparse.linalg as spla
 
         n = a.shape[0]
@@ -433,7 +434,7 @@ class TestSharedFactorization:
         w, _ = spla.eigsh(a.tocsc(), k=1, sigma=0.0, which="LM",
                           tol=1e-8 * spectral._LM_TOL_FACTOR,
                           maxiter=spectral._lanczos_maxiter(n, ncv), ncv=ncv,
-                          v0=np.random.default_rng(0).standard_normal(n))
+                          v0=np.random.default_rng(0).standard_normal(n), OPinv=opinv)
         return w[0]
 
     def test_one_splu_per_stiffness_matrix(self, cal2, splu_calls):
@@ -457,11 +458,49 @@ class TestSharedFactorization:
         raw = d_min / mesh.n_elements / _volume_factor(element_volumes(mesh), 2)
         assert calibrate_constant(2, field, 16).c == lmin / raw
 
+    @pytest.mark.parametrize("dim, n_ref", [(1, 1024), (2, 32), (3, 8)])
+    def test_fixture_calibration_bit_identical_to_direct_eigsh(self, request, dim, n_ref):
+        # SuperLU's symmetric options would move these c by about 2.5e-13,
+        # 1.1e-14 and 1.6e-16 relative, so the calibration keeps the defaults
+        from meshcond.bounds import _volume_factor
+        from meshcond.mesh import element_volumes
+
+        cal = request.getfixturevalue(f"cal{dim}")
+        mesh = generate_uniform_mesh(dim, n_ref)
+        lmin = self.direct_lambda_min(assemble_stiffness(mesh, identity_field(dim)))
+        raw = 1.0 / mesh.n_elements / _volume_factor(element_volumes(mesh), dim)
+        assert cal.n_ref == n_ref and cal.c == lmin / raw
+
     def test_lambda_min_bit_identical_to_direct_eigsh(self):
+        import scipy.sparse.linalg as spla
+
         mesh, field, a = self.case()
         cal = calibrate_constant(2, field, 8)
         lmin = condition_bounds(mesh, field, cal, 1e-8).exact.lambda_min
-        assert lmin == self.direct_lambda_min(a)
+        # the LU shared by a row's solves takes SuperLU's options for an SPD matrix
+        solve = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True}).solve
+        opinv = spla.LinearOperator(a.shape, matvec=solve, dtype=float)
+        assert lmin == self.direct_lambda_min(a, opinv)
+
+    def test_shared_lu_is_symmetric_with_less_fill(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        a = assemble_stiffness(generate_skew_mesh_3d(8, 25.0), identity_field(3))
+        lus = []
+
+        def kept(mat, *args, _real=spla.splu, **kwargs):
+            lus.append(_real(mat, *args, **kwargs))
+            return lus[-1]
+
+        monkeypatch.setattr(spectral.spla, "splu", kept)
+        shared_inverses(a, jacobi_scaling(a))
+        monkeypatch.undo()
+        (lu,) = lus
+        defaults = spla.splu(a.tocsc())
+        # one symmetric permutation, so U's diagonal is the D of an LDL^T
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert lu.L.nnz + lu.U.nnz < defaults.L.nnz + defaults.U.nnz
 
     def test_scaled_lambda_min_matches_own_factorization(self):
         mesh, field, a = self.case()

@@ -158,8 +158,11 @@ class TestConfigParsing:
         # Python's int and float read these two as 16 and 1e-8
         ("aspect_values = 8, 1_6", "study.cfg:3: bad float '1_6': a number is ASCII"),
         ("tol = \u0661e-8", "study.cfg:3: bad float '\u0661e-8': a number is ASCII"),
+        # checked with the whole config, as tol's range is: they name the file
+        ("field = rotated:1_000,1", "study.cfg: bad number in field spec 'rotated:1_000,1'"),
+        ("field = bogus", "study.cfg: unknown field spec 'bogus'"),
     ], ids=["unknown-key", "repeated-key", "no-equals", "bad-float", "bad-int",
-            "sweep-underscore", "arabic-indic-tol"])
+            "sweep-underscore", "arabic-indic-tol", "field-underscore", "field-unknown"])
     def test_bad_line_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "study.cfg"
         path.write_text(f"case = chebyshev\nn_values = 64, 128, 256\n{line}\n")
