@@ -205,8 +205,12 @@ def shared_inverses(mat, scaling):
     entries against 3.34M for SuperLU's defaults, factors in half the time
     and solves 40% faster.  The lambda_min it gives moved by at most 1.3e-12
     relative (Chebyshev n=4096); the calibration keeps the defaults (see
-    :func:`_shifted_inverse`).
+    :func:`_shifted_inverse`).  Up to order ``_DENSE_CUTOFF``, where
+    :func:`extreme_eigenvalues` reads no ``inverse``, it factors nothing and
+    returns ``(None, None)``.
     """
+    if mat.shape[0] <= _DENSE_CUTOFF:
+        return None, None
     s = np.asarray(scaling, dtype=float)
     solve = spla.splu(_as_csr(mat).tocsc(), permc_spec="MMD_AT_PLUS_A",
                       diag_pivot_thresh=0.0, options={"SymmetricMode": True}).solve

@@ -6,6 +6,7 @@ import os
 import re
 import signal
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -297,8 +298,8 @@ def _failing_values(monkeypatch, failures):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the parallel study forks its workers")
 class TestParallelStudy:
-    """With 2 usable CPUs the study forks one worker, which computes every
-    second row; rows, messages and errors are those of the serial run."""
+    """With 2 usable CPUs the study forks a pool of two workers, which compute
+    every row; rows, messages and errors are those of the serial run."""
 
     @pytest.fixture(autouse=True)
     def small_meshes_fork(self, monkeypatch):
@@ -322,15 +323,14 @@ class TestParallelStudy:
         assert violations == serial_violations
         assert len(violations) == len(rows)
 
-    def test_worker_computes_every_second_row(self, monkeypatch, use_cpus):
-        # meshes of one size are dealt out by stride
+    def test_workers_compute_every_row(self, monkeypatch, use_cpus):
+        # which worker takes which row is up to the pool
         monkeypatch.setattr(experiments, "envelope_violations",
                             lambda report: [str(os.getpid())])
         cfg = StudyConfig(case="skew2d-aspect", n=4, aspect_values=(4.0, 8.0, 16.0, 32.0))
         _, violations = _run_with_cpus(use_cpus, cfg, 2)
         pids = [int(v.rpartition(": ")[2]) for v in violations]
-        assert pids[0] == pids[2] == os.getpid()
-        assert pids[1] == pids[3] != os.getpid()
+        assert len(pids) == 4 and os.getpid() not in pids
 
     def test_one_cpu_forks_nothing(self, monkeypatch, use_cpus):
         _refuse_pool(monkeypatch)
@@ -379,12 +379,11 @@ class TestParallelStudy:
         monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", FORK_MIN_ELEMENTS)
         pids, _ = run_study(cfg)
         assert multiprocessing.active_children() == []
-        assert os.getpid() in pids
-        assert (len(set(pids)) == 2) == forks
+        # a study that forks computes no row itself
+        assert (os.getpid() not in pids) == forks
 
     # the sweep of one skew2d-n study (aspect 8) in three orders; its meshes
-    # have 2 n^2 elements, 2 (72^2 + 144^2) = 51,840 and 2 (102^2 + 125^2) =
-    # 52,058 in its two balanced shares
+    # have 2 n^2 elements
     SKEW2D_ORDERS = [(72, 102, 125, 144), (72, 125, 102, 144), (144, 72, 125, 102)]
 
     @staticmethod
@@ -401,20 +400,28 @@ class TestParallelStudy:
                             lambda mesh, field, cal, tol, n, aspect: ((os.getpid(), n), []))
 
     @pytest.mark.parametrize("order", SKEW2D_ORDERS, ids=lambda order: "-".join(map(str, order)))
-    def test_rows_balanced_by_elements(self, monkeypatch, order, use_cpus):
+    def test_rows_go_out_largest_first(self, monkeypatch, order, use_cpus):
+        # a pool fed largest mesh first is LPT list scheduling (Graham 1969)
         self._stub_rows(monkeypatch)
+        submitted = []
+
+        class Pool(ThreadPoolExecutor):  # one thread runs the rows as they go out
+            def __init__(self, p, mp_context):
+                super().__init__(1)
+
+            def submit(self, fn, cfg, field, cal, value):
+                submitted.append(value)
+                return super().submit(fn, cfg, field, cal, value)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
         cfg = StudyConfig(case="skew2d-n", n_values=order, aspect=8.0)
         rows, _ = _run_with_cpus(use_cpus, cfg, 2)
+        assert submitted == sorted(order, reverse=True)
         assert [n for _, n in rows] == list(order)
-        totals = {}
-        for pid, n in rows:
-            totals[pid] = totals.get(pid, 0) + 2 * n * n
-        assert totals.pop(os.getpid()) == 51_840
-        assert list(totals.values()) == [52_058]
 
     @pytest.mark.parametrize("failures, message", [
         ((125,), "row 125"),
-        # 102 (worker) and 144 (this process) fail: the serial run meets 102 first
+        # 102 and 144 fail: 144 goes out first, but the serial run meets 102 first
         ((102, 144), "row 102"),
         ((72, 125), "row 72"),
     ], ids=["worker", "worker-first", "parent-first"])
@@ -424,14 +431,6 @@ class TestParallelStudy:
         for cpus in (1, 2):
             with pytest.raises(FieldError, match=f"^{message}$"):
                 _run_with_cpus(use_cpus, cfg, cpus)
-
-    @pytest.mark.parametrize("shares, sizes", [
-        ([[0, 2], [1, 3]], [5, 5, 5, 5]),
-        ([[0, 3], [1], [2]], [7, 7, 7, 7]),
-        ([[3], [0, 1, 2]], [16, 32, 64, 128]),
-    ], ids=["equal-2", "equal-3", "chebyshev"])
-    def test_shares(self, shares, sizes):
-        assert experiments._shares(sizes, len(shares)) == shares
 
     def test_python_thread_keeps_study_serial_not_halves(self, monkeypatch, use_cpus,
                                                           helpers):
@@ -464,14 +463,19 @@ class TestParallelStudy:
         assert [r.status for r in rows] == ["ok", "ok"]
 
     def test_study_processes_split_halves(self, monkeypatch, use_cpus, helpers):
-        # each row reports its process and the helper threads that process started
+        # each row reports its process and the helper threads it started there
         use_cpus(2)
-        monkeypatch.setattr(experiments, "envelope_violations",
-                            lambda report: [f"{os.getpid()} {helpers.count(os.getpid())}"])
+
+        def report_helpers(report):
+            started = helpers.count(os.getpid())
+            helpers.clear()
+            return [f"{os.getpid()} {started}"]
+
+        monkeypatch.setattr(experiments, "envelope_violations", report_helpers)
         cfg = StudyConfig(case="skew2d-aspect", n=8, aspect_values=(4.0, 16.0))
         _, violations = run_study(cfg)
         reports = [v.rpartition(": ")[2].split() for v in violations]
-        assert len({pid for pid, _ in reports}) == 2
+        assert str(os.getpid()) not in {pid for pid, _ in reports}
         assert [count for _, count in reports] == ["1", "1"]
 
     def test_forks_right_after_concurrent_halves(self, monkeypatch, use_cpus, helpers):
@@ -484,7 +488,7 @@ class TestParallelStudy:
         self._stub_rows(monkeypatch)
         rows, _ = run_study(StudyConfig(case="skew2d-aspect", n=8, aspect_values=(4.0, 16.0)))
         assert multiprocessing.active_children() == []
-        assert len({pid for pid, _ in rows}) == 2
+        assert len(rows) == 2 and os.getpid() not in {pid for pid, _ in rows}
 
     def test_overflowing_field_raises_as_serial(self, monkeypatch, tmp_path, use_cpus):
         # the calibration file lets the study reach its rows, which each overflow
@@ -503,7 +507,7 @@ class TestParallelStudy:
 
     @pytest.mark.parametrize("failures, message", [
         ({16.0: "worker row"}, "worker row"),
-        # rows 1 (worker) and 2 (this process) fail: the serial run meets row 1 first
+        # rows 1 and 2 fail: row 2 goes out first, but the serial run meets row 1 first
         ({16.0: "worker row", 64.0: "later row"}, "worker row"),
         ({4.0: "first row", 16.0: "worker row"}, "first row"),
     ], ids=["worker", "worker-first", "parent-first"])
