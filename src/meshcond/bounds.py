@@ -322,10 +322,10 @@ def condition_bounds(mesh, field, cal, rel_tol=1e-8):
     lambda_min lower bound into upper bounds on kappa(A) and
     kappa(S^-1 A S^-1), and reports the three-factor decomposition (base
     power of N, D-nonuniformity, volume nonuniformity) separately.
-    Once the one LU of A is made, a 2D or 3D mesh's scaled eigensolve runs in a
-    helper thread if :func:`_parallel_cpus` is above 1 (SuperLU's solve releases
-    the GIL, see :mod:`.spectral`); results and errors are a serial run's, and no
-    thread outlives the call.
+    Once the one LU of A is made, the scaled eigensolve runs in a helper thread
+    if :func:`_parallel_cpus` is above 1 (SuperLU's solve releases the GIL, see
+    :mod:`.spectral`); results and errors are a serial run's, and no thread
+    outlives the call.
     """
     d = mesh.dim
     n = mesh.n_elements
@@ -357,7 +357,7 @@ def condition_bounds(mesh, field, cal, rel_tol=1e-8):
     s = jacobi_scaling(a)
     inverse, inverse_scaled = shared_inverses(a, s)
     scaled = (apply_symmetric_scaling(a, s), rel_tol, inverse_scaled)
-    if d >= 2 and _parallel_cpus() > 1:
+    if _parallel_cpus() > 1:
         with ThreadPoolExecutor(1) as pool:
             helper = pool.submit(_eigenvalues_or_none, *scaled)
             # an error here leaves the helper's result unread, as a serial run never made it

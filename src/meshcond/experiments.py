@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields as dataclass_fields
 from multiprocessing import get_context
 
@@ -51,25 +51,20 @@ __all__ = [
     "fit_loglog_slope",
 ]
 
-STUDY_CASES = (
-    "uniform",
-    "chebyshev",
-    "skew2d-n",
-    "skew2d-aspect",
-    "skew3d-n",
-    "skew3d-aspect",
-)
+# the sweep keys each case reads; every case also reads _SHARED_KEYS
+_CASE_KEYS = {
+    "uniform": ("n_values", "dim"),
+    "chebyshev": ("n_values",),
+    "skew2d-n": ("n_values", "aspect"),
+    "skew2d-aspect": ("n", "aspect_values"),
+    "skew3d-n": ("n_values", "aspect"),
+    "skew3d-aspect": ("n", "aspect_values"),
+}
+_SHARED_KEYS = ("case", "field", "tol", "calibration")
 
 # Relative slack applied to the two-sided envelopes to absorb the eigenvalue
 # solver tolerance.
 ENVELOPE_SLACK = 1e-7
-
-# A study forks workers only if its largest mesh has at least this many
-# elements (d! n^d, as the generators make them).  Smaller rows take tens of
-# milliseconds, about what starting the pool costs, so it gains little: on 2
-# vCPUs the Chebyshev sweep 1024, 2048, 4096 took 0.046 s forked and 0.052 s
-# serial, while 4-row sweeps just over the limit ran 1.8-1.9 times faster forked.
-FORK_MIN_ELEMENTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -175,18 +170,23 @@ _STUDY_CASTS = {f.name: str for f in dataclass_fields(StudyConfig)} | {
 
 
 def parse_study_config(path):
-    """Read a study from ``key = value`` lines; absent keys keep their defaults."""
-    cfg = StudyConfig(**_read_key_values(path, _STUDY_CASTS, required=("case",)))
+    """Read a study from ``key = value`` lines; absent keys keep their defaults,
+    and a key that the case does not read is rejected."""
+    values = _read_key_values(path, _STUDY_CASTS, required=("case",))
+    cfg = StudyConfig(**values)
     try:
         _check_config(cfg)
+        for key in values:
+            if key not in _SHARED_KEYS + _CASE_KEYS[cfg.case]:
+                raise ValueError(f"case {cfg.case} does not read {key!r}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return cfg
 
 
 def _check_config(cfg):
-    if cfg.case not in STUDY_CASES:
-        raise ValueError(f"unknown case {cfg.case!r}, expected one of {STUDY_CASES}")
+    if cfg.case not in _CASE_KEYS:
+        raise ValueError(f"unknown case {cfg.case!r}, expected one of {tuple(_CASE_KEYS)}")
     if cfg.case.endswith("-aspect"):
         if not cfg.aspect_values:
             raise ValueError(f"case {cfg.case} needs aspect_values")
@@ -366,26 +366,34 @@ def _study_row(cfg, field, cal, value):
 def run_study(cfg):
     """Run a study; returns (rows, envelope violation messages) as a serial run
     would.  After calibrating, a process running no other Python thread (it would
-    be copied into the workers mid-call) hands the rows of a sweep whose largest
-    mesh has FORK_MIN_ELEMENTS elements or more to a pool of up to
+    be copied into the workers mid-call) hands the rows to a pool of up to
     :func:`_parallel_cpus` forked workers, largest mesh first, and computes none
     itself; that is 1 unless the BLAS thread variables say one thread, as a
-    BLAS's own threads would compete with them."""
+    BLAS's own threads would compete with them.  At most one row per worker is
+    out at a time, so no row starts after the error that ends the study."""
     _check_config(cfg)
     dim = study_dimension(cfg)
     field = parse_field_spec(cfg.field, dim)
     cal = resolve_calibration(cfg.calibration, dim, field)
     values = _sweep(cfg)
-    sizes = [math.factorial(dim) * _mesh_size(cfg, v)[0] ** dim for v in values]
-    forks = max(sizes) >= FORK_MIN_ELEMENTS and threading.active_count() == 1
-    p = min(len(values), _parallel_cpus()) if forks else 1
+    p = min(len(values), _parallel_cpus()) if threading.active_count() == 1 else 1
     if p == 1:
         results = [_study_row(cfg, field, cal, value) for value in values]
     else:  # read in sweep order, so the first error raised is a serial run's
+        order = iter(sorted(range(len(values)),
+                            key=lambda i: -_mesh_size(cfg, values[i])[0]))
+        futures, results = {}, []
         with ProcessPoolExecutor(p, mp_context=get_context("fork")) as pool:
-            futures = {i: pool.submit(_study_row, cfg, field, cal, values[i])
-                       for i in sorted(range(len(values)), key=lambda i: -sizes[i])}
-            results = [futures[i].result() for i in range(len(values))]
+            for i in range(len(values)):
+                # at most p rows out, so none waits in the pool's queue
+                while i not in futures or not futures[i].done():
+                    busy = [future for future in futures.values() if not future.done()]
+                    if len(busy) < p and len(futures) < len(values):
+                        j = next(order)
+                        futures[j] = pool.submit(_study_row, cfg, field, cal, values[j])
+                    else:
+                        wait(busy, return_when=FIRST_COMPLETED)
+                results.append(futures[i].result())
     return [row for row, _ in results], [msg for _, bad in results for msg in bad]
 
 

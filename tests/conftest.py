@@ -50,8 +50,8 @@ def splu_calls(monkeypatch):
 def use_cpus(monkeypatch):
     """``use_cpus(n)`` makes this process see ``n`` usable CPUs and sets every
     BLAS thread variable to ``1``, so ``bounds._parallel_cpus()`` is ``n``: with
-    n >= 2 a study forks and ``condition_bounds`` solves the two halves of a 2D
-    or 3D mesh in two threads."""
+    n >= 2 a study of two or more values forks and ``condition_bounds`` solves
+    the two halves of any mesh in two threads."""
     def use(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                             raising=False)

@@ -592,14 +592,16 @@ class TestConcurrentHalves:
         return generate_skew_mesh_2d(12, 16.0), field, calibrate_constant(2, field, 8)
 
     @pytest.mark.parametrize("make_case", [
-        lambda cal3: TestConcurrentHalves.case(),
-        lambda cal3: (generate_skew_mesh_2d(10, 128.0), identity_field(2),
-                      calibrate_constant(2, identity_field(2), 8)),
-        lambda cal3: (generate_skew_mesh_3d(6, 25.0), identity_field(3), cal3),
-        lambda cal3: (generate_skew_mesh_3d(5, 4.0), identity_field(3), cal3),
-    ], ids=["skew2d-rotated", "skew2d-a128", "skew3d-a25", "skew3d-a4"])
-    def test_one_and_two_cpus_agree(self, make_case, cal3, use_cpus, pools):
-        mesh, field, cal = make_case(cal3)
+        lambda cal1, cal3: TestConcurrentHalves.case(),
+        lambda cal1, cal3: (generate_skew_mesh_2d(10, 128.0), identity_field(2),
+                            calibrate_constant(2, identity_field(2), 8)),
+        lambda cal1, cal3: (generate_skew_mesh_3d(6, 25.0), identity_field(3), cal3),
+        lambda cal1, cal3: (generate_skew_mesh_3d(5, 4.0), identity_field(3), cal3),
+        # a 1D mesh splits its halves too
+        lambda cal1, cal3: (generate_chebyshev_mesh(256), identity_field(1), cal1),
+    ], ids=["skew2d-rotated", "skew2d-a128", "skew3d-a25", "skew3d-a4", "chebyshev"])
+    def test_one_and_two_cpus_agree(self, make_case, cal1, cal3, use_cpus, pools):
+        mesh, field, cal = make_case(cal1, cal3)
         reports, rows = [], []
         for cpus in (1, 2):
             use_cpus(cpus)
@@ -658,15 +660,6 @@ class TestConcurrentHalves:
                 condition_bounds(mesh, field, cal)
             assert threading.active_count() == 1
         assert len(pools) == 1
-
-    def test_1d_never_starts_the_helper(self, monkeypatch, cal1, use_cpus):
-        def refused(*args, **kwargs):
-            raise AssertionError("a helper thread was started")
-
-        monkeypatch.setattr(bounds_mod, "ThreadPoolExecutor", refused)
-        use_cpus(2)
-        rep = condition_bounds(generate_chebyshev_mesh(256), identity_field(1), cal1)
-        assert rep.exact is not None and rep.exact_scaled is not None
 
     def test_native_thread_keeps_halves_serial(self, monkeypatch, use_cpus, pools):
         # a BLAS thread variable other than 1 lets the BLAS run threads of its own

@@ -6,6 +6,7 @@ import os
 import re
 import signal
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -170,6 +171,25 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_study_config(path)
 
+    @pytest.mark.parametrize("lines, key", [
+        ("case = skew2d-n\nn_values = 8, 16\naspect_values = 4, 16\ndim = 3\n",
+         "aspect_values"),
+        ("case = skew3d-n\nn_values = 8, 16\naspect = 4\nn = 8\n", "n"),
+        ("case = skew2d-aspect\nn = 8\naspect_values = 4, 16\naspect = 4\n", "aspect"),
+        ("case = skew3d-aspect\nn = 8\naspect_values = 4, 16\nn_values = 8, 16\n",
+         "n_values"),
+        ("case = chebyshev\nn_values = 8, 16\ndim = 1\n", "dim"),
+        ("case = uniform\ndim = 2\nn_values = 8, 16\naspect = 4\n", "aspect"),
+    ], ids=["skew2d-n", "skew3d-n", "skew2d-aspect", "skew3d-aspect", "chebyshev",
+            "uniform"])
+    def test_key_the_case_does_not_read_names_file(self, tmp_path, lines, key):
+        path = tmp_path / "study.cfg"
+        path.write_text(lines)
+        case = lines.partition("\n")[0].partition("= ")[2]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: case {case} does not read {key!r}") + "$"):
+            parse_study_config(path)
+
     def test_missing_case_names_file(self, tmp_path):
         path = tmp_path / "study.cfg"
         path.write_text("n_values = 64, 128, 256\n")
@@ -244,10 +264,6 @@ class TestRunStudy:
                     assert a == b
 
 
-# the limit as shipped; TestParallelStudy lowers it to 0 for each test
-FORK_MIN_ELEMENTS = experiments.FORK_MIN_ELEMENTS
-
-
 def _same_value(a, b):
     if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
         return math.isnan(b)
@@ -300,10 +316,6 @@ def _failing_values(monkeypatch, failures):
 class TestParallelStudy:
     """With 2 usable CPUs the study forks a pool of two workers, which compute
     every row; rows, messages and errors are those of the serial run."""
-
-    @pytest.fixture(autouse=True)
-    def small_meshes_fork(self, monkeypatch):
-        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", 0)
 
     @pytest.mark.parametrize("cfg", [
         StudyConfig(case="skew2d-aspect", n=8, aspect_values=(4.0, 16.0, 64.0),
@@ -361,24 +373,28 @@ class TestParallelStudy:
         assert [r.n for r in rows] == [16, 32]
 
     @pytest.mark.parametrize("cfg, forks", [
-        (StudyConfig(case="chebyshev", n_values=(1024, 2048, 4096)), False),
+        (StudyConfig(case="chebyshev", n_values=(1024, 2048, 4096)), True),
         (StudyConfig(case="chebyshev", n_values=(5000, 10000)), True),
-        (StudyConfig(case="skew2d-aspect", n=70, aspect_values=(4.0, 16.0)), False),
+        (StudyConfig(case="skew2d-aspect", n=70, aspect_values=(4.0, 16.0)), True),
         (StudyConfig(case="skew2d-aspect", n=71, aspect_values=(4.0, 16.0)), True),
-        (StudyConfig(case="skew3d-aspect", n=11, aspect_values=(4.0, 16.0)), False),
+        (StudyConfig(case="skew3d-aspect", n=4, aspect_values=(4.0, 16.0)), True),
+        (StudyConfig(case="skew3d-aspect", n=11, aspect_values=(4.0, 16.0)), True),
         (StudyConfig(case="skew3d-aspect", n=12, aspect_values=(4.0, 16.0)), True),
-    ], ids=["chebyshev-4096", "chebyshev-10000", "skew2d-9800", "skew2d-10082", "skew3d-7986",
-            "skew3d-10368"])
-    def test_forks_only_for_large_meshes(self, monkeypatch, cfg, forks, use_cpus):
-        # each row reports the pid that computed it, without building its mesh
+        (StudyConfig(case="chebyshev", n_values=(10000,)), False),
+        (StudyConfig(case="skew3d-aspect", n=12, aspect_values=(16.0,)), False),
+    ], ids=["chebyshev-4096", "chebyshev-10000", "skew2d-9800", "skew2d-10082", "skew3d-384",
+            "skew3d-7986", "skew3d-10368", "chebyshev-one-value", "skew3d-one-value"])
+    def test_forks_for_two_values_or_more(self, monkeypatch, cfg, forks, use_cpus):
+        # each row reports the pid that computed it, without building its mesh;
+        # the size of the meshes does not matter
         monkeypatch.setattr(experiments, "_build_mesh",
                             lambda cfg, value: (None, *experiments._mesh_size(cfg, value)))
         monkeypatch.setattr(experiments, "analyze_mesh",
                             lambda mesh, *args: (os.getpid(), []))
-        use_cpus(2)
-        monkeypatch.setattr(experiments, "FORK_MIN_ELEMENTS", FORK_MIN_ELEMENTS)
-        pids, _ = run_study(cfg)
-        assert multiprocessing.active_children() == []
+        if not forks:
+            _refuse_pool(monkeypatch)
+        pids, _ = _run_with_cpus(use_cpus, cfg, 2)
+        assert len(pids) == len(experiments._sweep(cfg))
         # a study that forks computes no row itself
         assert (os.getpid() not in pids) == forks
 
@@ -507,7 +523,7 @@ class TestParallelStudy:
 
     @pytest.mark.parametrize("failures, message", [
         ({16.0: "worker row"}, "worker row"),
-        # rows 1 and 2 fail: row 2 goes out first, but the serial run meets row 1 first
+        # rows 1 and 2 fail: both may run at once, but the serial run meets row 1 first
         ({16.0: "worker row", 64.0: "later row"}, "worker row"),
         ({4.0: "first row", 16.0: "worker row"}, "first row"),
     ], ids=["worker", "worker-first", "parent-first"])
@@ -517,6 +533,25 @@ class TestParallelStudy:
         for cpus in (1, 2):
             with pytest.raises(FieldError, match=f"^{message}$"):
                 _run_with_cpus(use_cpus, cfg, cpus)
+
+    def test_no_row_starts_after_the_first_error(self, monkeypatch, tmp_path, use_cpus):
+        # the first row raises at once; with 2 CPUs only the second may have
+        # started by then, and no later row starts
+        def build(cfg, value):
+            if value == 4.0:
+                raise FieldError("first row")
+            (tmp_path / f"cpus{cpus}-{value}").touch()
+            time.sleep(0.2)
+            return (None, *experiments._mesh_size(cfg, value))
+
+        monkeypatch.setattr(experiments, "_build_mesh", build)
+        monkeypatch.setattr(experiments, "analyze_mesh", lambda mesh, *args: (None, []))
+        cfg = StudyConfig(case="skew2d-aspect", n=4,
+                          aspect_values=(4.0, 8.0, 16.0, 32.0, 64.0, 128.0))
+        for cpus in (1, 2):
+            with pytest.raises(FieldError, match="^first row$"):
+                _run_with_cpus(use_cpus, cfg, cpus)
+        assert {path.name for path in tmp_path.iterdir()} <= {"cpus2-8.0"}
 
     def test_killed_worker_exits_one(self, monkeypatch, tmp_path, capsys, use_cpus):
         # the kernel's OOM killer ends a worker this way
