@@ -44,9 +44,6 @@ from .spectral import ConvergenceError, extreme_eigenvalues, shared_inverses
 __all__ = [
     "QualityMeasures",
     "CalibrationConstant",
-    "MassConditionBounds",
-    "LambdaMaxBounds",
-    "GeometricMaxBound",
     "ConditionBoundReport",
     "mass_condition_bounds",
     "lambda_max_bounds",
@@ -56,7 +53,6 @@ __all__ = [
     "condition_bounds",
     "m_uniform_bound",
     "calibrate_constant",
-    "check_calibration",
     "auto_reference_subdivisions",
 ]
 
@@ -419,6 +415,8 @@ def check_calibration(cal, dim, field):
 
 def auto_reference_subdivisions(dim):
     """Largest power-of-two subdivision whose uniform mesh has <= 2000 unknowns."""
+    if dim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     n = 2
     while True:
         m = 2 * n

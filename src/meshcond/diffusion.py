@@ -26,8 +26,6 @@ __all__ = [
     "parse_field_spec",
     "element_averages",
     "field_spectral_bounds",
-    "mapped_metric_tensors",
-    "spd_norm2",
 ]
 
 

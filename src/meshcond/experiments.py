@@ -40,25 +40,23 @@ from .spectral import check_tolerance
 __all__ = [
     "StudyConfig",
     "StudyRow",
-    "CSV_COLUMNS",
     "parse_study_config",
     "save_calibration",
     "load_calibration",
     "run_study",
-    "analyze_mesh",
-    "envelope_violations",
     "write_study_csv",
     "fit_loglog_slope",
 ]
 
-# the sweep keys each case reads; every case also reads _SHARED_KEYS
-_CASE_KEYS = {
-    "uniform": ("n_values", "dim"),
-    "chebyshev": ("n_values",),
-    "skew2d-n": ("n_values", "aspect"),
-    "skew2d-aspect": ("n", "aspect_values"),
-    "skew3d-n": ("n_values", "aspect"),
-    "skew3d-aspect": ("n", "aspect_values"),
+# case: (mesh family, dimension or 0 for the config's dim, swept key, fixed key);
+# a case reads its two keys and _SHARED_KEYS
+_CASES = {
+    "uniform": ("uniform", 0, "n_values", "dim"),
+    "chebyshev": ("chebyshev", 1, "n_values", None),
+    "skew2d-n": ("skew", 2, "n_values", "aspect"),
+    "skew2d-aspect": ("skew", 2, "aspect_values", "n"),
+    "skew3d-n": ("skew", 3, "n_values", "aspect"),
+    "skew3d-aspect": ("skew", 3, "aspect_values", "n"),
 }
 _SHARED_KEYS = ("case", "field", "tol", "calibration")
 
@@ -177,7 +175,7 @@ def parse_study_config(path):
     try:
         _check_config(cfg)
         for key in values:
-            if key not in _SHARED_KEYS + _CASE_KEYS[cfg.case]:
+            if key not in _SHARED_KEYS + _CASES[cfg.case][2:]:
                 raise ValueError(f"case {cfg.case} does not read {key!r}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -185,19 +183,15 @@ def parse_study_config(path):
 
 
 def _check_config(cfg):
-    if cfg.case not in _CASE_KEYS:
-        raise ValueError(f"unknown case {cfg.case!r}, expected one of {tuple(_CASE_KEYS)}")
-    if cfg.case.endswith("-aspect"):
-        if not cfg.aspect_values:
-            raise ValueError(f"case {cfg.case} needs aspect_values")
-        if cfg.n <= 0:
-            raise ValueError(f"case {cfg.case} needs a fixed n")
-    else:
-        if not cfg.n_values:
-            raise ValueError(f"case {cfg.case} needs n_values")
-    if cfg.case == "uniform" and cfg.dim not in (1, 2, 3):
+    if cfg.case not in _CASES:
+        raise ValueError(f"unknown case {cfg.case!r}, expected one of {tuple(_CASES)}")
+    family, _, swept, fixed = _CASES[cfg.case]
+    if not getattr(cfg, swept):
+        raise ValueError(f"case {cfg.case} needs {swept}")
+    if fixed == "n" and cfg.n <= 0:
+        raise ValueError(f"case {cfg.case} needs a fixed n")
+    if fixed == "dim" and cfg.dim not in (1, 2, 3):
         raise ValueError("uniform case needs dim in {1, 2, 3}")
-    family = "skew" if cfg.case.startswith("skew") else cfg.case
     for value in _sweep(cfg):
         try:
             check_generator_args(family, *_mesh_size(cfg, value))
@@ -208,35 +202,31 @@ def _check_config(cfg):
 
 
 def study_dimension(cfg):
-    if cfg.case == "uniform":
-        return cfg.dim
-    if cfg.case == "chebyshev":
-        return 1
-    return 2 if cfg.case.startswith("skew2d") else 3
+    return _CASES[cfg.case][1] or cfg.dim
 
 
 def _sweep(cfg):
-    return cfg.aspect_values if cfg.case.endswith("-aspect") else cfg.n_values
+    return getattr(cfg, _CASES[cfg.case][2])
 
 
 def _mesh_size(cfg, value):
     """(n, aspect) of the mesh at sweep value ``value``."""
-    if cfg.case.endswith("-aspect"):
+    _, _, swept, fixed = _CASES[cfg.case]
+    if swept == "aspect_values":
         return cfg.n, value
-    if cfg.case.endswith("-n"):
-        return value, cfg.aspect
-    return value, 1.0
+    return value, cfg.aspect if fixed == "aspect" else 1.0
 
 
 def _build_mesh(cfg, value):
+    family, dim = _CASES[cfg.case][0], study_dimension(cfg)
     n, aspect = _mesh_size(cfg, value)
-    if cfg.case == "uniform":
-        return generate_uniform_mesh(cfg.dim, n), n, aspect
-    if cfg.case == "chebyshev":
-        return generate_chebyshev_mesh(n), n, aspect
-    if cfg.case.startswith("skew2d"):
-        return generate_skew_mesh_2d(n, aspect), n, aspect
-    return generate_skew_mesh_3d(n, aspect), n, aspect
+    if family == "uniform":
+        mesh = generate_uniform_mesh(dim, n)
+    elif family == "chebyshev":
+        mesh = generate_chebyshev_mesh(n)
+    else:
+        mesh = (generate_skew_mesh_2d if dim == 2 else generate_skew_mesh_3d)(n, aspect)
+    return mesh, n, aspect
 
 
 def outside_envelope(label, value, envelope):

@@ -22,17 +22,10 @@ __all__ = [
     "MeshStatistics",
     "MeshFormatError",
     "DegenerateElementError",
-    "reference_simplex",
-    "reference_gradients",
-    "reference_gradient_bound",
     "generate_uniform_mesh",
     "generate_chebyshev_mesh",
     "generate_skew_mesh_2d",
     "generate_skew_mesh_3d",
-    "check_generator_args",
-    "element_volumes",
-    "element_edge_matrices",
-    "patch_sums",
     "mesh_statistics",
     "write_mesh",
     "read_mesh",
@@ -118,9 +111,10 @@ class SimplicialMesh:
     Construction is the one validity check: it sorts each element's
     vertices and reorders them to positive orientation, raises
     DegenerateElementError for the first element with zero or non-finite
-    volume, and raises ValueError for a facet shared by more than two
-    elements, for a mesh without a boundary facet, for an interior facet
-    whose two elements lie on the same side of it (a tangled mesh, such as
+    volume, and raises ValueError for an element with a vertex index that
+    is not an integer (naming the first one), for a facet shared by more
+    than two elements, for a mesh without a boundary facet, for an interior
+    facet whose two elements lie on the same side of it (a tangled mesh, such as
     one where a moved vertex turned an element inside out) and for a vertex
     that belongs to no element.  A hanging node (a vertex inside a facet of a
     neighboring element) leaves one-element facets inside the domain, so a
@@ -140,11 +134,20 @@ class SimplicialMesh:
         vertices = np.ascontiguousarray(self.vertices, dtype=float)
         if vertices.ndim == 1:
             vertices = vertices[:, None]
-        elements = np.ascontiguousarray(self.elements, dtype=np.int64)
+        elements = np.asarray(self.elements)
         if vertices.shape[1] != self.dim:
             raise ValueError("vertex coordinates do not match dim")
         if elements.ndim != 2 or elements.shape[1] != self.dim + 1:
             raise ValueError("elements must have d + 1 vertices each")
+        if elements.dtype.kind not in "iu":  # integer input, as generated or read, skips this
+            real = elements.astype(float)
+            bad = np.flatnonzero(~(np.isfinite(real) & (real == np.round(real))).all(axis=1))
+            if bad.size:
+                raise ValueError(f"element {bad[0]} has a vertex index that is not an "
+                                 f"integer: {elements[bad[0]].tolist()}")
+            # an index too large for int64 is cast to one that is still out of range
+            elements = np.clip(real, -1, len(vertices))
+        elements = np.ascontiguousarray(elements, dtype=np.int64)
         if elements.size and (elements.min() < 0 or elements.max() >= len(vertices)):
             raise ValueError("element vertex index out of range")
         elements, parity = _orient_positive(vertices, elements, self.dim)

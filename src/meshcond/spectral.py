@@ -60,10 +60,8 @@ __all__ = [
     "ConvergenceError",
     "SpectralResult",
     "extreme_eigenvalues",
-    "shared_inverses",
     "dense_eigenvalues_oracle",
     "cg_iteration_count",
-    "check_tolerance",
 ]
 
 _DENSE_CUTOFF = 64  # up to this order LAPACK's dense eigh replaces Lanczos
@@ -175,11 +173,7 @@ def extreme_eigenvalues(mat, rel_tol=1e-8, lower_bound=0.0, inverse=None):
         largest, smallest = _lanczos_eigenpairs(a, start, tol, bottom=True)
         return _checked_result(a, smallest, largest, rel_tol, lower_bound)
     if tridiagonal:
-        with _lapack("eigh_tridiagonal"):
-            wmax, vmax = scipy.linalg.eigh_tridiagonal(
-                a.diagonal(), a.diagonal(1), select="i", select_range=(n - 1, n - 1),
-            )
-        largest = wmax[0], vmax[:, 0]
+        largest = _ritz_pair(a.diagonal(), a.diagonal(1), n - 1)
     else:
         (largest,) = _lanczos_eigenpairs(a, start, tol)
     sigma = 0.0 if inverse is not None else lower_bound * (1.0 - _POLE_GAP)
@@ -302,7 +296,8 @@ def _lanczos_eigenpairs(a, start, tol, bottom=False):
 
 
 def _ritz_pair(alphas, betas, i):
-    """Eigenpair i, counted from the bottom, of the tridiagonal T_k."""
+    """Eigenpair i, counted from the bottom, of the symmetric tridiagonal matrix
+    with diagonal ``alphas`` and off-diagonal ``betas`` (T_k of a Lanczos run)."""
     with _lapack("eigh_tridiagonal"):
         w, v = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i",
                                              select_range=(i, i))

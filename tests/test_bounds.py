@@ -282,6 +282,12 @@ class TestCalibration:
         assert auto_reference_subdivisions(2) == 32
         assert auto_reference_subdivisions(3) == 8
 
+    @pytest.mark.parametrize("dim", [-1, 0, 4])
+    def test_auto_reference_subdivisions_rejects_dim(self, dim):
+        # (m - 1) ** 0 is always 1, so dim 0 used to loop forever
+        with pytest.raises(ValueError, match=f"dim must be 1, 2 or 3, got {dim}"):
+            auto_reference_subdivisions(dim)
+
     def test_file_roundtrip(self, tmp_path, cal2):
         path = tmp_path / "cal.txt"
         save_calibration(cal2, path)

@@ -190,6 +190,13 @@ class TestConfigParsing:
                 f"{path}: case {case} does not read {key!r}") + "$"):
             parse_study_config(path)
 
+    @pytest.mark.parametrize("case", sorted(experiments._CASES))
+    def test_case_mesh_has_study_dimension(self, case):
+        cfg = StudyConfig(case=case, n_values=(4,), aspect_values=(2.0,), n=4, dim=3)
+        experiments._check_config(cfg)
+        mesh, _, _ = experiments._build_mesh(cfg, experiments._sweep(cfg)[0])
+        assert mesh.dim == study_dimension(cfg)
+
     def test_missing_case_names_file(self, tmp_path):
         path = tmp_path / "study.cfg"
         path.write_text("n_values = 64, 128, 256\n")

@@ -194,6 +194,19 @@ class TestConstruction:
         with pytest.raises(DegenerateElementError, match="element 5 is degenerate"):
             self.rebuilt(elements=elements)
 
+    def test_non_integer_index_named_not_truncated(self):
+        vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(ValueError, match=re.escape(
+                "element 0 has a vertex index that is not an integer: [0.0, 1.9, 2.0]")):
+            SimplicialMesh(dim=2, vertices=vertices, elements=[[0, 1.9, 2], [1, 3, 2]])
+        with pytest.raises(ValueError, match="element 1 has a vertex index that is not"):
+            SimplicialMesh(dim=2, vertices=vertices, elements=[[0, 1, 2], [1, 3, np.nan]])
+        with pytest.raises(ValueError, match="element vertex index out of range"):
+            SimplicialMesh(dim=2, vertices=vertices, elements=[[0, 1, 2], [1, 3, 1e30]])
+        whole = SimplicialMesh(dim=2, vertices=vertices, elements=[[0, 1.0, 2], [1, 3, 2]])
+        assert whole.elements.dtype == np.int64
+        assert whole.elements.tolist() == [[0, 1, 2], [1, 3, 2]]
+
     def test_orphan_interior_vertex(self):
         uni = generate_uniform_mesh(2, 4)
         with pytest.raises(ValueError, match="interior vertex 25 belongs to no element"):
