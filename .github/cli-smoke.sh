@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# CLI smoke run, from the repository root: bash .github/cli-smoke.sh
+# CLI smoke run: bash .github/cli-smoke.sh
+#
+# It works in a new temporary directory, removed on exit, and imports
+# meshcond from this checkout's src, so it leaves no file in the checkout.
 #
 # generate then analyze end to end; its mass matrix takes the
 # two-ended Lanczos path, so that path runs on each numpy and scipy.
@@ -19,29 +22,33 @@
 # loadtxt, which defines the mesh format: analyze must exit 1 with one
 # line naming line 4.
 set -eo pipefail
-PYTHONPATH=src python -W error::RuntimeWarning -m meshcond.cli generate --case skew3d --n 6 --aspect 25 -o s.msh
-PYTHONPATH=src python -W error::RuntimeWarning -m meshcond.cli analyze --mesh s.msh --calibration auto --csv r.csv
-PYTHONPATH=src taskset -c 0 python -W error::RuntimeWarning -m meshcond.cli analyze --mesh s.msh --calibration auto --csv r1.csv
+export PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+cd "$tmp"
+python -W error::RuntimeWarning -m meshcond.cli generate --case skew3d --n 6 --aspect 25 -o s.msh
+python -W error::RuntimeWarning -m meshcond.cli analyze --mesh s.msh --calibration auto --csv r.csv
+taskset -c 0 python -W error::RuntimeWarning -m meshcond.cli analyze --mesh s.msh --calibration auto --csv r1.csv
 cmp r.csv r1.csv
-PYTHONPATH=src python -W error::RuntimeWarning -m meshcond.cli generate --case chebyshev --n 512 -o c.msh
-PYTHONPATH=src python -W error::RuntimeWarning -m meshcond.cli analyze --mesh c.msh --csv c.csv
-PYTHONPATH=src taskset -c 0 python -W error::RuntimeWarning -m meshcond.cli analyze --mesh c.msh --csv c1.csv
+python -W error::RuntimeWarning -m meshcond.cli generate --case chebyshev --n 512 -o c.msh
+python -W error::RuntimeWarning -m meshcond.cli analyze --mesh c.msh --csv c.csv
+taskset -c 0 python -W error::RuntimeWarning -m meshcond.cli analyze --mesh c.msh --csv c1.csv
 cmp c.csv c1.csv
 printf 'case = skew2d-aspect\nn = 71\naspect_values = 4, 16, 64\n' > q.cfg
-PYTHONPATH=src python -W error::RuntimeWarning -m meshcond.cli study --config q.cfg --csv q.csv
-PYTHONPATH=src taskset -c 0 python -W error::RuntimeWarning -m meshcond.cli study --config q.cfg --csv q1.csv
+python -W error::RuntimeWarning -m meshcond.cli study --config q.cfg --csv q.csv
+taskset -c 0 python -W error::RuntimeWarning -m meshcond.cli study --config q.cfg --csv q1.csv
 cmp q.csv q1.csv
 printf 'case = skew2d-n\nn_values = 71, 90, 110\naspect = 16\n' > u.cfg
-PYTHONPATH=src python -W error::RuntimeWarning -m meshcond.cli study --config u.cfg --csv u.csv
-PYTHONPATH=src taskset -c 0 python -W error::RuntimeWarning -m meshcond.cli study --config u.cfg --csv u1.csv
+python -W error::RuntimeWarning -m meshcond.cli study --config u.cfg --csv u.csv
+taskset -c 0 python -W error::RuntimeWarning -m meshcond.cli study --config u.cfg --csv u1.csv
 cmp u.csv u1.csv
 printf 'case = chebyshev\nn_values = 1024, 2048, 4096\n' > h.cfg
-PYTHONPATH=src python -W error::RuntimeWarning -m meshcond.cli study --config h.cfg --csv h.csv
-PYTHONPATH=src taskset -c 0 python -W error::RuntimeWarning -m meshcond.cli study --config h.cfg --csv h1.csv
+python -W error::RuntimeWarning -m meshcond.cli study --config h.cfg --csv h.csv
+taskset -c 0 python -W error::RuntimeWarning -m meshcond.cli study --config h.cfg --csv h1.csv
 cmp h.csv h1.csv
 printf 'meshcond v1 dim=1 nv=3 ne=2\n0 1\n0.5 0\n1_0 1\n0 1\n1 2\n' > bad.msh
 code=0
-PYTHONPATH=src python -W error::RuntimeWarning -m meshcond.cli analyze --mesh bad.msh --csv bad.csv 2> err.txt || code=$?
+python -W error::RuntimeWarning -m meshcond.cli analyze --mesh bad.msh --csv bad.csv 2> err.txt || code=$?
 test "$code" = 1
 test "$(wc -l < err.txt)" = 1
 grep -Fx "meshcond: error: line 4: bad coordinate in ['1_0']" err.txt

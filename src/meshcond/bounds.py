@@ -114,16 +114,20 @@ class ConditionBoundReport:
     """Exact extreme eigenvalues next to every estimate, scaled and unscaled.
 
     ``exact`` or ``exact_scaled`` is None when that eigensolve did not converge.
+    Each ``est_*`` and ``factor_*`` field is the study CSV column of the same
+    name, in the same order.
     """
 
     dim: int
     n_elements: int
     exact: object
     exact_scaled: object
-    est_lambda_max: tuple[float, float]
-    est_lambda_max_scaled: tuple[float, float]
     est_lambda_min: float
     est_lambda_min_scaled: float
+    est_lambda_max_low: float
+    est_lambda_max_high: float
+    est_lambda_max_scaled_low: float
+    est_lambda_max_scaled_high: float
     est_kappa: float
     est_kappa_scaled: float
     factor_base: float
@@ -303,10 +307,12 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 def _parallel_cpus():
     """CPUs this process may split its work over: ``len(os.sched_getaffinity(0))``,
-    but 1 without that call or unless the BLAS thread variables that are set, at
-    least one, all say ``1``; a BLAS's own threads would compete with the split."""
+    but 1 without that call or unless the BLAS thread variables that are set all
+    say ``1`` and include ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``, which
+    the OpenBLAS in numpy's wheels reads; a BLAS's own threads would compete."""
     limits = {os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ}
-    if limits != {"1"} or not hasattr(os, "sched_getaffinity"):
+    openblas = os.environ.keys() & {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+    if limits != {"1"} or not openblas or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -337,10 +343,12 @@ def condition_bounds(mesh, field, cal, rel_tol=1e-8):
         n_elements=n,
         exact=None,
         exact_scaled=None,
-        est_lambda_max=lmax.unscaled,
-        est_lambda_max_scaled=lmax.scaled,
         est_lambda_min=lmin,
         est_lambda_min_scaled=lmin_scaled,
+        est_lambda_max_low=lmax.unscaled[0],
+        est_lambda_max_high=lmax.unscaled[1],
+        est_lambda_max_scaled_low=lmax.scaled[0],
+        est_lambda_max_scaled_high=lmax.scaled[1],
         est_kappa=lmax.unscaled[1] / lmin,
         est_kappa_scaled=lmax.scaled[1] / lmin_scaled,
         factor_base=cal.c * n ** (2.0 / d),

@@ -242,54 +242,31 @@ def envelope_violations(report):
     out = []
     if report.exact is not None:
         out += outside_envelope("lambda_max", report.exact.lambda_max,
-                                report.est_lambda_max)
+                                (report.est_lambda_max_low, report.est_lambda_max_high))
     if report.exact_scaled is not None:
         out += outside_envelope("scaled lambda_max", report.exact_scaled.lambda_max,
-                                report.est_lambda_max_scaled)
+                                (report.est_lambda_max_scaled_low,
+                                 report.est_lambda_max_scaled_high))
     return out
-
-
-def _exact_columns(result):
-    """(lambda_min, lambda_max, kappa) of a solve, all nan if it failed."""
-    if result is None:
-        return (float("nan"),) * 3
-    return result.lambda_min, result.lambda_max, result.kappa
 
 
 def analyze_mesh(mesh, field, cal, tol=1e-8, n_label=0, aspect_label=1.0):
     """Condition report for one mesh as a study row plus envelope violations.
 
-    ``status`` is ``no-convergence`` if either eigensolve failed.
+    The ``est_*`` and ``factor_*`` columns are the report's fields of the same
+    name; a failed solve's exact columns are nan, and ``status`` is
+    ``no-convergence`` if either eigensolve failed.
     """
     report = condition_bounds(mesh, field, cal, rel_tol=tol)
-    lmin, lmax, kappa = _exact_columns(report.exact)
-    lmin_s, lmax_s, kappa_s = _exact_columns(report.exact_scaled)
+    exact = {name + suffix: getattr(result, name, math.nan)
+             for suffix, result in (("", report.exact), ("_scaled", report.exact_scaled))
+             for name in ("lambda_min", "lambda_max", "kappa")}
+    estimates = {name: getattr(report, name) for name in CSV_COLUMNS
+                 if name.startswith(("est_", "factor_"))}
     failed = report.exact is None or report.exact_scaled is None
-    row = StudyRow(
-        n=n_label,
-        aspect=aspect_label,
-        n_elements=mesh.n_elements,
-        n_interior=mesh.n_interior,
-        lambda_min=lmin,
-        lambda_max=lmax,
-        kappa=kappa,
-        lambda_min_scaled=lmin_s,
-        lambda_max_scaled=lmax_s,
-        kappa_scaled=kappa_s,
-        est_lambda_min=report.est_lambda_min,
-        est_lambda_min_scaled=report.est_lambda_min_scaled,
-        est_lambda_max_low=report.est_lambda_max[0],
-        est_lambda_max_high=report.est_lambda_max[1],
-        est_lambda_max_scaled_low=report.est_lambda_max_scaled[0],
-        est_lambda_max_scaled_high=report.est_lambda_max_scaled[1],
-        est_kappa=report.est_kappa,
-        est_kappa_scaled=report.est_kappa_scaled,
-        factor_base=report.factor_base,
-        factor_d_nonuniformity=report.factor_d_nonuniformity,
-        factor_d_nonuniformity_scaled=report.factor_d_nonuniformity_scaled,
-        factor_volume=report.factor_volume,
-        status="no-convergence" if failed else "ok",
-    )
+    row = StudyRow(n=n_label, aspect=aspect_label, n_elements=mesh.n_elements,
+                   n_interior=mesh.n_interior, **exact, **estimates,
+                   status="no-convergence" if failed else "ok")
     return row, envelope_violations(report)
 
 

@@ -371,7 +371,7 @@ class TestConditionBounds:
         field = rotated_anisotropic_field(1000.0, 1.0)
         cal = calibrate_constant(2, field, 16)
         rep = condition_bounds(mesh, field, cal)
-        assert rep.est_lambda_max[0] <= rep.exact.lambda_max <= rep.est_lambda_max[1]
+        assert rep.est_lambda_max_low <= rep.exact.lambda_max <= rep.est_lambda_max_high
         assert 1.0 <= rep.exact_scaled.lambda_max <= 3.0
         assert rep.est_lambda_min <= rep.exact.lambda_min
         assert rep.est_kappa >= rep.exact.kappa
@@ -574,7 +574,11 @@ def _is_scaled(mat):
     ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 2, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, None, 1),
     ({var: "1" for var in bounds_mod._BLAS_THREAD_VARS}, 1, 1),
-], ids=["unset", "all-one", "openblas-one", "omp-four", "no-affinity-call", "one-cpu"])
+    ({"MKL_NUM_THREADS": "1"}, 2, 1),
+    ({"BLIS_NUM_THREADS": "1"}, 2, 1),
+    ({"OMP_NUM_THREADS": "1"}, 2, 2),
+], ids=["unset", "all-one", "openblas-one", "omp-four", "no-affinity-call", "one-cpu",
+        "mkl-only", "blis-only", "omp-one"])
 def test_parallel_cpus(monkeypatch, env, cpus, expected):
     for var in bounds_mod._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
@@ -819,10 +823,12 @@ class TestOneGeometryPass:
 # update these values and say why.
 PINNED_ESTIMATES = {
     "chebyshev-256": {
-        "est_lambda_max": (118592.12940293406, 237184.25880586813),
-        "est_lambda_max_scaled": (1.0, 2.0),
         "est_lambda_min": 0.009765625,
         "est_lambda_min_scaled": 6.941089118829758e-06,
+        "est_lambda_max_low": 118592.12940293406,
+        "est_lambda_max_high": 237184.25880586813,
+        "est_lambda_max_scaled_low": 1.0,
+        "est_lambda_max_scaled_high": 2.0,
         "est_kappa": 24287668.101720896,
         "est_kappa_scaled": 288139.2193300628,
         "factor_base": 163840.0,
@@ -831,10 +837,12 @@ PINNED_ESTIMATES = {
         "factor_volume": 1.0,
     },
     "skew2d-16-a64-rotated": {
-        "est_lambda_max": (64572.45494972323, 193717.36484916968),
-        "est_lambda_max_scaled": (1.0, 3.0),
         "est_lambda_min": 0.0009464863655758829,
         "est_lambda_min_scaled": 1.6198434170888764e-07,
+        "est_lambda_max_low": 64572.45494972323,
+        "est_lambda_max_high": 193717.36484916968,
+        "est_lambda_max_scaled_low": 1.0,
+        "est_lambda_max_scaled_high": 3.0,
         "est_kappa": 204670000.42975128,
         "est_kappa_scaled": 18520308.61965344,
         "factor_base": 1280.0,
@@ -843,10 +851,12 @@ PINNED_ESTIMATES = {
         "factor_volume": 5.1588830833596715,
     },
     "skew3d-6-a25": {
-        "est_lambda_max": (4.918367346938751, 19.673469387755006),
-        "est_lambda_max_scaled": (1.0, 4.0),
         "est_lambda_min": 0.0013990350411903025,
         "est_lambda_min_scaled": 0.0007439692662114251,
+        "est_lambda_max_low": 4.918367346938751,
+        "est_lambda_max_high": 19.673469387755006,
+        "est_lambda_max_scaled_low": 1.0,
+        "est_lambda_max_scaled_high": 4.0,
         "est_kappa": 14062.17057366681,
         "est_kappa_scaled": 5376.566185817761,
         "factor_base": 297.17345240051634,
@@ -855,10 +865,12 @@ PINNED_ESTIMATES = {
         "factor_volume": 1.3788163190235776,
     },
     "uniform3d-4-const": {
-        "est_lambda_max": (3.9333333333333362, 15.733333333333345),
-        "est_lambda_max_scaled": (1.0, 4.0),
         "est_lambda_min": 0.012240149107519874,
         "est_lambda_min_scaled": 0.014972574336633723,
+        "est_lambda_max_low": 3.9333333333333362,
+        "est_lambda_max_high": 15.733333333333345,
+        "est_lambda_max_scaled_low": 1.0,
+        "est_lambda_max_scaled_high": 4.0,
         "est_kappa": 1285.3873915365455,
         "est_kappa_scaled": 267.1551271055047,
         "factor_base": 132.07708995578503,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from meshcond import bounds, cli, experiments
-from meshcond.bounds import CalibrationConstant
+from meshcond.bounds import CalibrationConstant, ConditionBoundReport
 from meshcond.diffusion import FieldError, parse_field_spec
 from meshcond.experiments import (
     CSV_COLUMNS,
@@ -596,7 +596,6 @@ class TestParallelStudy:
 
 class TestEnvelopeCheck:
     def test_flags_fabricated_violation(self):
-        from meshcond.bounds import ConditionBoundReport
         from meshcond.spectral import SpectralResult
 
         good = SpectralResult(lambda_min=1.0, lambda_max=3.0, kappa=3.0,
@@ -605,8 +604,9 @@ class TestEnvelopeCheck:
                              rel_tol_achieved=1e-12)
         report = ConditionBoundReport(
             dim=2, n_elements=10, exact=bad, exact_scaled=good,
-            est_lambda_max=(2.0, 6.0), est_lambda_max_scaled=(1.0, 3.0),
             est_lambda_min=0.5, est_lambda_min_scaled=0.5,
+            est_lambda_max_low=2.0, est_lambda_max_high=6.0,
+            est_lambda_max_scaled_low=1.0, est_lambda_max_scaled_high=3.0,
             est_kappa=12.0, est_kappa_scaled=6.0,
             factor_base=1.0, factor_d_nonuniformity=1.0,
             factor_d_nonuniformity_scaled=1.0, factor_volume=1.0,
@@ -614,6 +614,16 @@ class TestEnvelopeCheck:
         messages = envelope_violations(report)
         assert len(messages) == 1
         assert "lambda_max" in messages[0]
+
+
+def test_report_fields_are_the_csv_estimate_columns():
+    """A column added to the report or to StudyRow alone fails here."""
+
+    def estimates(names):
+        return [name for name in names if name.startswith(("est_", "factor_"))]
+
+    report = [f.name for f in dataclasses.fields(ConditionBoundReport)]
+    assert estimates(report) == estimates(CSV_COLUMNS)
 
 
 class TestCsvRoundtrip:
