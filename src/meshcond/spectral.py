@@ -38,23 +38,24 @@ check measures, at a tenth of the tolerance, and a second pass over the
 same recurrence sums the Ritz vector.  Small orders use
 LAPACK's dense eigensolver for both.  The dense oracle is an independent
 in-repo solver for the same two extremes, used to verify the production
-path at desk scale: LAPACK's Hessenberg reduction (not an eigensolver)
-brings the matrix to tridiagonal form, and in-repo Sturm-sequence
-bisection plus inverse iteration decide each eigenvalue.
+path at desk scale: LAPACK's symmetric tridiagonal reduction ``sytrd`` (not
+an eigensolver) brings the matrix to tridiagonal form T, in-repo bisection
+decides each extreme of T by testing T - xI for positive definiteness with
+LAPACK's tridiagonal LDL^T ``pttrf``, and inverse iteration on the dense
+matrix, through an LDL^T ``sytrf`` of the shifted matrix, sharpens it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 __all__ = [
     "ConvergenceError",
@@ -393,48 +394,32 @@ def _checked_result(a, smallest, largest, rel_tol, lower_bound):
     )
 
 
-def _sturm_count(d, e2, x):
-    """Number of eigenvalues of the tridiagonal at or below x.
+def _tridiagonal_min(d, e):
+    """Smallest eigenvalue of the symmetric tridiagonal T with diagonals d and e.
 
-    By Sylvester's law of inertia this is the number of negative pivots in
-    the LDL^T factorization of T - xI.  A zero pivot is taken as a tiny
-    negative one; the next pivot may then overflow to an infinity of the
-    right sign, which IEEE arithmetic carries through.
-    """
-    count = 0
-    q = 1.0
-    for di, ei2 in zip(d, e2):
-        q = di - x - ei2 / q
-        if q == 0.0:
-            q = -sys.float_info.min
-        if q < 0.0:
-            count += 1
-    return count
-
-
-def _tridiagonal_extremes(d, e):
-    """Smallest and largest eigenvalue of a symmetric tridiagonal matrix.
-
-    Sturm-sequence bisection (Parlett, *The Symmetric Eigenvalue Problem*,
-    ch. 7) from the Gershgorin interval, widened by a few rounding errors.
-    The bracket is halved until no float lies strictly inside it, so the
-    loop always terminates.
+    Bisection (Parlett, *The Symmetric Eigenvalue Problem*, ch. 7) from the
+    Gershgorin interval, widened by a few rounding errors.  By Sylvester's
+    law of inertia T - xI is positive definite exactly when x lies below
+    every eigenvalue, and LAPACK's ``pttrf`` (the LDL^T factorization of a
+    positive definite tridiagonal, not an eigensolver) tells which: its
+    ``info`` is 0 only if every pivot is positive.  A zero pivot counts as
+    not positive, so a midpoint on the eigenvalue is kept.  The bracket is
+    halved until no float lies strictly inside it, so the loop always
+    terminates, and T - xI is then not positive definite at the returned x
+    but is at the float below it.
     """
     radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
-    lo0, hi0 = float(np.min(d - radius)), float(np.max(d + radius))
-    pad = 2.0 * len(d) * sys.float_info.epsilon * max(abs(lo0), abs(hi0))
-    d, e2 = d.tolist(), [0.0] + (e * e).tolist()
-    extremes = []
-    for k in (0, len(d) - 1):
-        # invariant: _sturm_count(lo) <= k < _sturm_count(hi)
-        lo, hi = lo0 - pad, hi0 + pad
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            if _sturm_count(d, e2, mid) > k:
-                hi = mid
-            else:
-                lo = mid
-        extremes.append(hi)
-    return extremes
+    lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
+    pad = 2.0 * d.size * np.finfo(float).eps * max(abs(lo), abs(hi))
+    lo, hi = lo - pad, hi + pad
+    e = e if e.size else np.zeros(1)  # the wrapper wants an e of length 1 at order 1
+    # invariant: T - lo I is positive definite and T - hi I is not
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if lapack.dpttrf(d - mid, e, overwrite_d=1)[2] == 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _refine_extreme(a, lam, steps=3):
@@ -448,16 +433,15 @@ def _refine_extreme(a, lam, steps=3):
     # Offset the shift so an exact eigenvalue never yields a singular factor.
     scale = np.abs(a).max()
     sigma = lam + 1e-12 * (abs(lam) + scale)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(a - sigma * np.eye(n), check_finite=False)
-    except scipy.linalg.LinAlgError:
+    c = a.copy()
+    c.flat[::n + 1] -= sigma
+    ldl, piv, info = lapack.dsytrf(c, overwrite_a=1)
+    if info:
         return lam
     x = np.random.default_rng(12345).standard_normal(n)
     x /= np.linalg.norm(x)
     for _ in range(steps):
-        y = scipy.linalg.lu_solve((lu, piv), x, check_finite=False)
+        y = lapack.dsytrs(ldl, piv, x)[0]
         ny = np.linalg.norm(y)
         if not np.isfinite(ny) or ny == 0.0:
             return lam
@@ -474,24 +458,27 @@ def dense_eigenvalues_oracle(mat):
     """Smallest and largest eigenvalue of a symmetric matrix, ``[lmin, lmax]``.
 
     Independent verification path that calls no LAPACK eigensolver: the
-    matrix is reduced to tridiagonal form by LAPACK's Hessenberg reduction
-    (``gehrd``, orthogonal similarity, so the spectrum is kept), then
-    in-repo Sturm-sequence bisection finds the two extremes of the
-    tridiagonal and inverse iteration on the dense matrix sharpens them so
-    both are accurate in a relative sense even for large condition numbers.
-    The matrix is first scaled by the power of two that brings its largest
-    entry into [0.5, 1), so the squares formed on the way neither underflow
-    nor overflow; the scaling is exact, and undone on the result.
+    matrix is reduced to tridiagonal form T by LAPACK's ``sytrd``
+    (Householder, an orthogonal similarity, so the spectrum is kept), then
+    in-repo bisection finds lambda_min(T) by testing T - xI for positive
+    definiteness with ``pttrf``, and lambda_max(T) as -lambda_min(-T).
+    Inverse iteration on the dense matrix, with a symmetric indefinite
+    LDL^T factorization (``sytrf``) of the shifted matrix, sharpens both
+    extremes so they are accurate in a relative sense even for large
+    condition numbers.  The matrix is first scaled by the power of two that
+    brings its largest entry into [0.5, 1), so the squares formed on the way
+    neither underflow nor overflow; the scaling is exact, and undone on the
+    result.
 
     Raises ValueError for a matrix that is not square, not symmetric, has a
-    NaN or infinite entry, or is of order above 4000.
+    NaN or infinite entry, or is of order 0 or above 4000.
     """
     a = mat.toarray() if sp.issparse(mat) else np.array(mat, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if n > _ORACLE_MAX_ORDER:
-        raise ValueError(f"dense oracle is capped at order {_ORACLE_MAX_ORDER}")
+    if not 1 <= n <= _ORACLE_MAX_ORDER:
+        raise ValueError(f"dense oracle takes orders 1 to {_ORACLE_MAX_ORDER}, got {n}")
     scale = np.abs(a).max()
     if not np.isfinite(scale):
         raise ValueError("matrix has a NaN or infinite entry")
@@ -499,12 +486,11 @@ def dense_eigenvalues_oracle(mat):
         raise ValueError("matrix is not symmetric")
     exponent = math.frexp(scale)[1]
     np.ldexp(a, -exponent, out=a)
-    # a symmetric Hessenberg matrix is tridiagonal; only its two diagonals
-    # are read, and the n x n result is released before the refinement's LU
-    h = scipy.linalg.hessenberg(a, check_finite=False)
-    d, e = np.diag(h).copy(), np.diag(h, -1).copy()
-    del h
-    extremes = [_refine_extreme(a, lam) for lam in _tridiagonal_extremes(d, e)]
+    # only T's two diagonals are kept; the reduced n x n copy is released
+    d, e = lapack.dsytrd(a, lower=1)[1:3]
+    # 0.0 - x mirrors exactly, and gives 0.0, not -0.0, for a zero matrix
+    extremes = [_refine_extreme(a, lam)
+                for lam in (_tridiagonal_min(d, e), 0.0 - _tridiagonal_min(-d, e))]
     return np.ldexp(extremes, exponent)
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -523,13 +524,20 @@ class TestDenseOracle:
         # each extreme exactly: a midpoint on an eigenvalue counts it as reached
         assert dense_eigenvalues_oracle(mat).tolist() == extremes
 
+    def test_zero_matrix_gives_positive_zeros(self):
+        # lambda_max is the negated bottom of -T; the negation must not
+        # turn the zero matrix's top end into -0.0
+        eigs = dense_eigenvalues_oracle(np.zeros((3, 3)))
+        assert eigs.tolist() == [0.0, 0.0]
+        assert not np.signbit(eigs).any()
+
     def test_order_two(self):
         mat = np.array([[2.0, 1.0], [1.0, 2.0]])
         assert dense_eigenvalues_oracle(mat) == pytest.approx([1.0, 3.0], rel=1e-15)
 
     def test_block_diagonal_splits(self):
         # zero couplings between the blocks leave zero off-diagonals in the
-        # tridiagonal, so the Sturm sequence restarts inside each block
+        # tridiagonal, so pttrf's pivots restart inside each block
         blocks = [np.array([[2.0, 1.0], [1.0, 2.0]]), np.diag([5.0, 0.5]),
                   np.array([[9.0, 3.0], [3.0, 9.0]])]
         mat = np.zeros((6, 6))
@@ -591,6 +599,8 @@ class TestDenseOracle:
             dense_eigenvalues_oracle(np.ones((2, 3)))
         with pytest.raises(ValueError):
             dense_eigenvalues_oracle(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="got 0"):
+            dense_eigenvalues_oracle(np.zeros((0, 0)))
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="NaN or infinite"):
                 dense_eigenvalues_oracle(np.array([[1.0, bad], [bad, 1.0]]))
@@ -601,7 +611,8 @@ class TestDenseOracle:
 
     def test_calls_no_library_eigensolver(self, monkeypatch):
         # the oracle checks the production eigensolvers, so it must reach
-        # the same extremes with every public eigensolver disabled
+        # the same extremes with every public eigensolver and every LAPACK
+        # eigenvalue routine disabled
         a = assemble_stiffness(generate_skew_mesh_2d(12, 125.0), identity_field(2))
         rng = np.random.default_rng(21)
         sym = rng.standard_normal((60, 60))
@@ -618,8 +629,54 @@ class TestDenseOracle:
                     monkeypatch.setattr(module, name, disabled)
                     patched.append(name)
         assert {"eigvalsh", "eigh_tridiagonal", "eigsh", "lobpcg"} <= set(patched)
+        # the ?syev*, ?stev*, ?stebz, ?stein, ?sterf, ?steqr, ?stemr and
+        # ?pteqr wrappers, workspace queries included (34 names in scipy
+        # 1.17, which wraps no ?steqr)
+        families = ("syev", "syevd", "syevr", "syevx", "stev", "stebz", "stein",
+                    "sterf", "stemr", "pteqr")
+        lapack_patched = [name for name in dir(scipy.linalg.lapack) if re.match(
+            r"[sdcz](syev|stev|stebz|stein|sterf|steqr|stemr|pteqr)", name)]
+        for name in lapack_patched:
+            monkeypatch.setattr(scipy.linalg.lapack, name, disabled)
+        assert {p + f for p in "sd" for f in families} <= set(lapack_patched)
+        assert len(lapack_patched) >= 2 * len(families)
         for mat, ref in zip(mats, unpatched):
             assert dense_eigenvalues_oracle(mat).tolist() == ref.tolist()
+
+
+def _tridiagonals():
+    """Seeded symmetric tridiagonals (d, e) of orders 1 to 300."""
+    rng = np.random.default_rng(27)
+    for n in (1, 2, 3, 300, *rng.integers(4, 300, size=3)):
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        yield pytest.param(d, e, id=f"random-{n}")
+        yield pytest.param(d, np.where(rng.random(n - 1) < 0.3, 0.0, e),
+                           id=f"zero-couplings-{n}")
+        # copies of the block [[a, b], [b, a]]: a - b and a + b repeat
+        a, b = rng.standard_normal(2)
+        yield pytest.param(np.full(n, a), np.where(np.arange(n - 1) % 2, 0.0, b),
+                           id=f"repeated-{n}")
+        graded = np.geomspace(1e-10, 1.0, n)
+        coupling = 0.4 * np.sqrt(graded[:-1] * graded[1:]) * rng.uniform(-1, 1, n - 1)
+        yield pytest.param(graded, coupling, id=f"graded-{n}")
+
+
+def _positive_definite(d, e, x):
+    """Whether LAPACK's pttrf finds every pivot of T - xI positive."""
+    return scipy.linalg.lapack.dpttrf(d - x, e if e.size else np.zeros(1))[2] == 0
+
+
+@pytest.mark.parametrize("d, e", _tridiagonals())
+def test_bisection_stops_at_the_definiteness_edge(d, e):
+    # the oracle's bisection on T, and on -T for lambda_max: T - xI fails the
+    # pttrf test at the returned x and passes it one float below
+    w = scipy.linalg.eigvalsh_tridiagonal(d, e)
+    tol = 4 * d.size * np.finfo(float).eps * np.abs(w).max()
+    for sign, want in ((1.0, w[0]), (-1.0, -w[-1])):
+        x = spectral._tridiagonal_min(sign * d, e)
+        assert not _positive_definite(sign * d, e, x)
+        assert _positive_definite(sign * d, e, np.nextafter(x, -np.inf))
+        assert abs(x - want) <= tol
 
 
 def _reference_pcg_count(a, b, tol, scaling=None, maxiter=None):
