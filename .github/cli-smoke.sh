@@ -17,11 +17,20 @@
 # The 1D Chebyshev analyze makes all three kinds of LU: the
 # calibration's and the mass pole's on SuperLU's defaults, the stiffness
 # row's on its symmetric options, so SymmetricMode runs on each scipy.
+# The uniform3d n=16 analyze has the most exact cancellation zeros in
+# its stiffness matrix (51% of the stored entries; with n a power of two
+# every coordinate is exact in binary, n=12 cancels only 24% exactly), so
+# the row's LU of the matrix without them runs on each scipy.
+# The script sets one BLAS thread itself: OpenBLAS with several threads
+# sums in another order than the taskset -c 0 run, so on a multi-CPU host
+# the skew2d-n study's lambda_max differed from it in the last bits and
+# cmp failed; with one thread the rows and halves still run in parallel.
 # Every command runs with RuntimeWarning as an error. The last file's
 # one bad token, 1_0, is a number to Python but not to this numpy's
 # loadtxt, which defines the mesh format: analyze must exit 1 with one
 # line naming line 4.
 set -eo pipefail
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
 export PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -30,6 +39,10 @@ python -W error::RuntimeWarning -m meshcond.cli generate --case skew3d --n 6 --a
 python -W error::RuntimeWarning -m meshcond.cli analyze --mesh s.msh --calibration auto --csv r.csv
 taskset -c 0 python -W error::RuntimeWarning -m meshcond.cli analyze --mesh s.msh --calibration auto --csv r1.csv
 cmp r.csv r1.csv
+python -W error::RuntimeWarning -m meshcond.cli generate --case uniform3d --n 16 -o w.msh
+python -W error::RuntimeWarning -m meshcond.cli analyze --mesh w.msh --calibration auto --csv w.csv
+taskset -c 0 python -W error::RuntimeWarning -m meshcond.cli analyze --mesh w.msh --calibration auto --csv w1.csv
+cmp w.csv w1.csv
 python -W error::RuntimeWarning -m meshcond.cli generate --case chebyshev --n 512 -o c.msh
 python -W error::RuntimeWarning -m meshcond.cli analyze --mesh c.msh --csv c.csv
 taskset -c 0 python -W error::RuntimeWarning -m meshcond.cli analyze --mesh c.msh --csv c1.csv

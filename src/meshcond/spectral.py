@@ -8,9 +8,12 @@ since (S^-1 A S^-1)^-1 = S A^-1 S, and two threads may solve with it at once,
 bit for bit: SuperLU's solve releases the GIL, its factorization (gstrf) holds
 it (skew3d n=20, 3.3M fill on SuperLU's defaults: a 0.115 s Python loop took
 0.16-0.19 s next to repeated solves, 0.22-0.23 s next to factorizations).
-That shared LU takes SuperLU's options for an SPD matrix (minimum degree
-on A^T + A, diagonal pivots, SymmetricMode); every other LU keeps SuperLU's
-general defaults, with which the calibration constant c is fitted (see
+That shared LU is of A without the exact zeros assembly stores, with
+SuperLU's options for an SPD matrix (minimum degree on A^T + A, diagonal
+pivots, SymmetricMode): 1.87M fill on skew3d n=20 aspect 25 against 2.50M
+with the zeros and 3.34M on the defaults.  Every other LU keeps the zeros
+and SuperLU's general defaults, with which the calibration constant c is
+fitted, until the estimate references are recorded again (see
 shared_inverses and _shifted_inverse).  A proven lower bound on the smallest
 eigenvalue (Wathen's min_j B_jj / 2 for a mass matrix) moves the pole up
 to it.  ARPACK runs only this shift-invert solve.  A proven lower bound can
@@ -200,9 +203,12 @@ def shared_inverses(mat, scaling):
     entries against 3.34M for SuperLU's defaults, factors in half the time
     and solves 40% faster.  The lambda_min it gives moved by at most 1.3e-12
     relative (Chebyshev n=4096); the calibration keeps the defaults (see
-    :func:`_shifted_inverse`).  Up to order ``_DENSE_CUTOFF``, where
-    :func:`extreme_eigenvalues` reads no ``inverse``, it factors nothing and
-    returns ``(None, None)``.
+    :func:`_shifted_inverse`).  SuperLU orders and factors every stored
+    entry, so :func:`.bounds.condition_bounds` hands it A without the exact
+    zeros that assembly's cancellations leave: there it holds 1.87M entries,
+    and its factorization and each solve took 30-50% less time.  Up to
+    order ``_DENSE_CUTOFF``, where :func:`extreme_eigenvalues` reads no
+    ``inverse``, it factors nothing and returns ``(None, None)``.
     """
     if mat.shape[0] <= _DENSE_CUTOFF:
         return None, None
@@ -223,7 +229,9 @@ def _shifted_inverse(a, sigma):
     options move c by up to 2.5e-13 relative.  The two settings merge when
     the estimate references are recorded again.  A zero shift leaves A as it
     is, explicit zeros included, so the LU is the one ARPACK would make for
-    ``sigma=0``.
+    ``sigma=0``; dropping the calibration's zeros would move its c by
+    5.0e-15 in 2D, so only a row's LU in :func:`shared_inverses` is of A
+    without them until that re-record.
     """
     if sigma:
         a = a - sigma * sp.eye(a.shape[0])

@@ -483,14 +483,20 @@ class TestSharedFactorization:
     def test_lambda_min_bit_identical_to_direct_eigsh(self):
         import scipy.sparse.linalg as spla
 
-        mesh, field, a = self.case()
-        cal = calibrate_constant(2, field, 8)
-        lmin = condition_bounds(mesh, field, cal, 1e-8).exact.lambda_min
-        # the LU shared by a row's solves takes SuperLU's options for an SPD matrix
-        solve = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                          options={"SymmetricMode": True}).solve
-        opinv = spla.LinearOperator(a.shape, matvec=solve, dtype=float)
-        assert lmin == self.direct_lambda_min(a, opinv)
+        mesh, rotated, _ = self.case()
+        # the rotated field's A has no exact zeros; the identity's has many
+        for field in (rotated, identity_field(2)):
+            a = assemble_stiffness(mesh, field)
+            cal = calibrate_constant(2, field, 8)
+            lmin = condition_bounds(mesh, field, cal, 1e-8).exact.lambda_min
+            # the LU shared by a row's solves is of A without its exact zeros,
+            # on SuperLU's options for an SPD matrix
+            structural = a.copy()
+            structural.eliminate_zeros()
+            solve = spla.splu(structural.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                              diag_pivot_thresh=0.0, options={"SymmetricMode": True}).solve
+            opinv = spla.LinearOperator(a.shape, matvec=solve, dtype=float)
+            assert lmin == self.direct_lambda_min(a, opinv)
 
     def test_shared_lu_is_symmetric_with_less_fill(self, monkeypatch):
         import scipy.sparse.linalg as spla
@@ -510,6 +516,36 @@ class TestSharedFactorization:
         # one symmetric permutation, so U's diagonal is the D of an LDL^T
         assert np.array_equal(lu.perm_r, lu.perm_c)
         assert lu.L.nnz + lu.U.nnz < defaults.L.nnz + defaults.U.nnz
+
+    @pytest.mark.parametrize("mesh", [generate_skew_mesh_3d(8, 25.0),
+                                      generate_uniform_mesh(2, 16)],
+                             ids=["skew3d", "uniform2d"])
+    def test_row_lu_drops_exact_zeros(self, monkeypatch, mesh):
+        import scipy.sparse.linalg as spla
+
+        field = identity_field(mesh.dim)
+        a = assemble_stiffness(mesh, field)
+        assert (a.data == 0.0).any()  # Kuhn cells cancel some couplings exactly
+        lus = []
+
+        def kept(mat, *args, _real=spla.splu, **kwargs):
+            lus.append((mat, _real(mat, *args, **kwargs)))
+            return lus[-1][1]
+
+        monkeypatch.setattr(spectral.spla, "splu", kept)
+        rep = condition_bounds(mesh, field, _pinned_cal(mesh, field))
+        monkeypatch.undo()
+        ((mat, lu),) = lus
+        assert mat.nnz > 0 and (mat.data != 0.0).all()
+        with_zeros = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                               options={"SymmetricMode": True})
+        assert lu.L.nnz + lu.U.nnz < with_zeros.L.nnz + with_zeros.U.nnz
+        # dropping an exact 0.0 leaves A, so lambda_max, as it was
+        scaled = apply_symmetric_scaling(a, jacobi_scaling(a))
+        assert rep.exact.lambda_max == extreme_eigenvalues(a, 1e-8).lambda_max
+        assert rep.exact_scaled.lambda_max == extreme_eigenvalues(scaled, 1e-8).lambda_max
+        oracle_min = spectral.dense_eigenvalues_oracle(a.toarray())[0]
+        assert rep.exact.lambda_min == pytest.approx(oracle_min, rel=1e-8)
 
     def test_scaled_lambda_min_matches_own_factorization(self):
         mesh, field, a = self.case()
