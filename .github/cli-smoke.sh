@@ -18,9 +18,13 @@
 # calibration's and the mass pole's on SuperLU's defaults, the stiffness
 # row's on its symmetric options, so SymmetricMode runs on each scipy.
 # The uniform3d n=16 analyze has the most exact cancellation zeros in
-# its stiffness matrix (51% of the stored entries; with n a power of two
-# every coordinate is exact in binary, n=12 cancels only 24% exactly), so
-# the row's LU of the matrix without them runs on each scipy.
+# its stiffness matrix (51% of the summed entries; with n a power of two
+# every coordinate is exact in binary, n=12 cancels only 24% exactly), and
+# assembly drops them, so its row's LU and its n_ref=8 calibration's LU
+# (48%) both factor the matrix without them on each scipy.
+# The uniform2d n=16 analyze reads a calibration file that calibrate
+# wrote and must match the report of --calibration auto, which fits the
+# same 2D identity constant on n_ref=32 in process, byte for byte.
 # The script sets one BLAS thread itself: OpenBLAS with several threads
 # sums in another order than the taskset -c 0 run, so on a multi-CPU host
 # the skew2d-n study's lambda_max differed from it in the last bits and
@@ -43,6 +47,11 @@ python -W error::RuntimeWarning -m meshcond.cli generate --case uniform3d --n 16
 python -W error::RuntimeWarning -m meshcond.cli analyze --mesh w.msh --calibration auto --csv w.csv
 taskset -c 0 python -W error::RuntimeWarning -m meshcond.cli analyze --mesh w.msh --calibration auto --csv w1.csv
 cmp w.csv w1.csv
+python -W error::RuntimeWarning -m meshcond.cli generate --case uniform2d --n 16 -o v.msh
+python -W error::RuntimeWarning -m meshcond.cli calibrate --dim 2 --n-ref 32 -o c2.cal
+python -W error::RuntimeWarning -m meshcond.cli analyze --mesh v.msh --calibration c2.cal --csv v.csv
+python -W error::RuntimeWarning -m meshcond.cli analyze --mesh v.msh --calibration auto --csv v1.csv
+cmp v.csv v1.csv
 python -W error::RuntimeWarning -m meshcond.cli generate --case chebyshev --n 512 -o c.msh
 python -W error::RuntimeWarning -m meshcond.cli analyze --mesh c.msh --csv c.csv
 taskset -c 0 python -W error::RuntimeWarning -m meshcond.cli analyze --mesh c.msh --csv c1.csv

@@ -2,8 +2,11 @@
 
 Matrices are indexed by interior vertices only (homogeneous Dirichlet rows
 and columns are never assembled) and stored as ``scipy.sparse.csr_matrix``
-with the full symmetric pattern.  Diagonal scalings are plain 1-D arrays of
-positive entries, one per interior vertex.
+with the full symmetric pattern.  A coupling whose element terms cancel to
+exactly 0.0, as many do on Kuhn cells in an isotropic or axis-aligned
+field, is not stored, so every solver sees the structural pattern alone.
+Diagonal scalings are plain 1-D arrays of positive entries, one per
+interior vertex.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ __all__ = [
 
 
 def _scatter(mesh, local):
-    """Accumulate (ne, d+1, d+1) element matrices into a CSR over interior dofs."""
+    """Accumulate (ne, d+1, d+1) element matrices into a CSR over interior dofs,
+    storing no entry that sums to exactly 0.0."""
     imap = mesh.interior_map()
     gidx = imap[mesh.elements]  # (ne, d+1)
     rows = np.broadcast_to(gidx[:, :, None], local.shape)
@@ -33,9 +37,9 @@ def _scatter(mesh, local):
     keep = (rows >= 0) & (cols >= 0)
     n = mesh.n_interior
     # tocsr sums the duplicates and returns canonical CSR
-    return sp.coo_matrix(
-        (local[keep], (rows[keep], cols[keep])), shape=(n, n)
-    ).tocsr()
+    mat = sp.coo_matrix((local[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    mat.eliminate_zeros()  # couplings that cancel exactly are no structural entries
+    return mat
 
 
 def assemble_stiffness(mesh, field):

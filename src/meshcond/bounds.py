@@ -324,11 +324,7 @@ def condition_bounds(mesh, field, cal, rel_tol=1e-8):
     lambda_min lower bound into upper bounds on kappa(A) and
     kappa(S^-1 A S^-1), and reports the three-factor decomposition (base
     power of N, D-nonuniformity, volume nonuniformity) separately.
-    The eigensolves see A without the exact zeros its assembly stores, so
-    their one LU of A is of the structural pattern alone; the diagonal, the
-    estimates and lambda_max are the same bits as with the zeros, and only
-    lambda_min moves, in its last bits (at most 4.1e-14 relative, uniform
-    2D n=150).  Once that LU is made, the scaled eigensolve runs in a helper
+    Once the one LU of A is made, the scaled eigensolve runs in a helper
     thread if :func:`_parallel_cpus` is above 1 (SuperLU's solve releases the
     GIL, see :mod:`.spectral`); results and errors are a serial run's, and no
     thread outlives the call.
@@ -339,7 +335,6 @@ def condition_bounds(mesh, field, cal, rel_tol=1e-8):
     geom = _ElementGeometry(mesh, field)
     a = _stiffness(mesh, geom)
     lmax = lambda_max_bounds(a.diagonal(), d)
-    a.eliminate_zeros()  # assembly's exact cancellations; A itself is unchanged
     d_min, _ = field_spectral_bounds(field)
     lmin = _lambda_min_bound(geom, d_min, cal, scaled=False)
     lmin_scaled = _lambda_min_bound(geom, d_min, cal, scaled=True)

@@ -369,8 +369,6 @@ def _format_cell(value):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
     return f"{value:.17g}"
 
 

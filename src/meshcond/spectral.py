@@ -8,18 +8,19 @@ since (S^-1 A S^-1)^-1 = S A^-1 S, and two threads may solve with it at once,
 bit for bit: SuperLU's solve releases the GIL, its factorization (gstrf) holds
 it (skew3d n=20, 3.3M fill on SuperLU's defaults: a 0.115 s Python loop took
 0.16-0.19 s next to repeated solves, 0.22-0.23 s next to factorizations).
-That shared LU is of A without the exact zeros assembly stores, with
-SuperLU's options for an SPD matrix (minimum degree on A^T + A, diagonal
-pivots, SymmetricMode): 1.87M fill on skew3d n=20 aspect 25 against 2.50M
-with the zeros and 3.34M on the defaults.  Every other LU keeps the zeros
-and SuperLU's general defaults, with which the calibration constant c is
-fitted, until the estimate references are recorded again (see
-shared_inverses and _shifted_inverse).  A proven lower bound on the smallest
-eigenvalue (Wathen's min_j B_jj / 2 for a mass matrix) moves the pole up
-to it.  ARPACK runs only this shift-invert solve.  A proven lower bound can
-also make the solve unnecessary: when the Gershgorin bound max_i sum_j
-|a_ij| is at most _LANCZOS_KAPPA_MAX = 16 times it, kappa is at most 16,
-and one plain Lanczos run on A returns both extreme pairs with no
+Assembly stores no exact zero, so every LU and Lanczos run factors or
+multiplies the structural pattern alone.  That shared LU takes SuperLU's
+options for an SPD matrix (minimum degree on A^T + A, diagonal pivots,
+SymmetricMode): 1.87M fill on skew3d n=20 aspect 25, against 2.50M when the
+exact zeros of assembly's cancellations were stored and 3.34M on the
+defaults.  Every other LU keeps SuperLU's general defaults, with which the
+calibration constant c is fitted, until the estimate references are recorded
+again (see shared_inverses and _shifted_inverse).  A proven lower bound on
+the smallest eigenvalue (Wathen's min_j B_jj / 2 for a mass matrix) moves
+the pole up to it.  ARPACK runs only this shift-invert solve.  A proven
+lower bound can also make the solve unnecessary: when the Gershgorin bound
+max_i sum_j |a_ij| is at most _LANCZOS_KAPPA_MAX = 16 times it, kappa is at
+most 16, and one plain Lanczos run on A returns both extreme pairs with no
 factorization.  For a mass matrix that ratio is (d+2) r, the paper's upper
 bound on kappa(B).  By the Kaniel-Paige bound (Kaniel 1966, Paige 1971) an
 extreme Ritz value's error falls like T_{k-1}(1 + 2 gamma)^-2 times the
@@ -199,15 +200,16 @@ def shared_inverses(mat, scaling):
     A^T + A, diagonal pivots only (``diag_pivot_thresh=0``; elimination
     without pivoting is backward stable for an SPD matrix) and
     ``SymmetricMode``, which keeps ``perm_r == perm_c``, so U's diagonal is
-    the D of P A P^T = L D L^T.  On skew3d n=20 aspect 25 it holds 2.50M
-    entries against 3.34M for SuperLU's defaults, factors in half the time
-    and solves 40% faster.  The lambda_min it gives moved by at most 1.3e-12
-    relative (Chebyshev n=4096); the calibration keeps the defaults (see
+    the D of P A P^T = L D L^T.  With the exact zeros that assembly's
+    cancellations leave, on skew3d n=20 aspect 25 it held 2.50M entries
+    against 3.34M for SuperLU's defaults, factored in half the time and
+    solved 40% faster; the lambda_min it gives moved by at most 1.3e-12
+    relative (Chebyshev n=4096).  The calibration keeps the defaults (see
     :func:`_shifted_inverse`).  SuperLU orders and factors every stored
-    entry, so :func:`.bounds.condition_bounds` hands it A without the exact
-    zeros that assembly's cancellations leave: there it holds 1.87M entries,
-    and its factorization and each solve took 30-50% less time.  Up to
-    order ``_DENSE_CUTOFF``, where :func:`extreme_eigenvalues` reads no
+    entry, and assembly stores no exact zero, so the LU is of the structural
+    pattern alone: 1.87M entries on that mesh, and its factorization and
+    each solve take 30-50% less time than with the zeros.  Up to order
+    ``_DENSE_CUTOFF``, where :func:`extreme_eigenvalues` reads no
     ``inverse``, it factors nothing and returns ``(None, None)``.
     """
     if mat.shape[0] <= _DENSE_CUTOFF:
@@ -228,10 +230,7 @@ def _shifted_inverse(a, sigma):
     through it and every recorded estimate comes from c: the symmetric
     options move c by up to 2.5e-13 relative.  The two settings merge when
     the estimate references are recorded again.  A zero shift leaves A as it
-    is, explicit zeros included, so the LU is the one ARPACK would make for
-    ``sigma=0``; dropping the calibration's zeros would move its c by
-    5.0e-15 in 2D, so only a row's LU in :func:`shared_inverses` is of A
-    without them until that re-record.
+    is, so the LU is the one ARPACK would make for ``sigma=0``.
     """
     if sigma:
         a = a - sigma * sp.eye(a.shape[0])

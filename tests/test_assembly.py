@@ -97,6 +97,47 @@ class TestStiffness:
         b = assemble_stiffness(shuffled, field).toarray()
         assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
+    @pytest.mark.parametrize("mesh", [generate_skew_mesh_3d(8, 25.0),
+                                      generate_uniform_mesh(2, 16),
+                                      generate_uniform_mesh(3, 16)],
+                             ids=["skew3d", "uniform2d", "uniform3d"])
+    def test_no_exact_zero_is_stored(self, monkeypatch, mesh):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        from meshcond import assembly, spectral
+
+        field = identity_field(mesh.dim)
+        element_matrices, lus = [], []
+
+        def scatter(m, local, _real=assembly._scatter):
+            element_matrices.append(local)
+            return _real(m, local)
+
+        def kept(mat, *args, _real=spla.splu, **kwargs):
+            lus.append(mat)
+            return _real(mat, *args, **kwargs)
+
+        monkeypatch.setattr(assembly, "_scatter", scatter)
+        a, b = assemble_stiffness(mesh, field), assemble_mass(mesh)
+        assert (a.data != 0.0).all() and (b.data != 0.0).all()
+        # the stiffness's element matrices summed with every cancellation kept
+        local = element_matrices[0]
+        gidx = mesh.interior_map()[mesh.elements]
+        rows = np.broadcast_to(gidx[:, :, None], local.shape)
+        cols = np.broadcast_to(gidx[:, None, :], local.shape)
+        keep = (rows >= 0) & (cols >= 0)
+        with_zeros = sp.coo_matrix((local[keep], (rows[keep], cols[keep])),
+                                   shape=a.shape).tocsr()
+        assert (with_zeros.data == 0.0).any()  # Kuhn cells cancel some couplings exactly
+        assert np.array_equal(a.toarray(), with_zeros.toarray())
+        monkeypatch.setattr(spectral.spla, "splu", kept)
+        cal = CalibrationConstant(c=2.5, dim=mesh.dim, n_ref=0, field=field.spec,
+                                  provenance="pinned")
+        condition_bounds(mesh, field, cal)
+        (mat,) = lus  # the row's one LU
+        assert mat.nnz == a.nnz and (mat.data != 0.0).all()
+
     def test_degenerate_element_named(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         elems = np.array([[0, 1, 2], [1, 3, 3]])  # second element collapsed
@@ -231,6 +272,19 @@ class TestApplySymmetricScaling:
         a = assemble_stiffness(mesh, field)
         scaled = apply_symmetric_scaling(a, jacobi_scaling(a))
         assert np.abs(scaled.diagonal() - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("scaling, message", [
+        (np.ones(2), "scaling has shape (2,), matrix order is 3"),
+        (np.ones((3, 1)), "scaling has shape (3, 1), matrix order is 3"),
+        (np.array([1.0, 0.0, 1.0]), "scaling entries must be positive and finite"),
+        (np.array([1.0, np.inf, 1.0]), "scaling entries must be positive and finite"),
+        (np.array([1.0, np.nan, 1.0]), "scaling entries must be positive and finite"),
+    ], ids=["short", "column", "zero", "inf", "nan"])
+    def test_bad_scaling_rejected(self, scaling, message):
+        a = assemble_stiffness(generate_uniform_mesh(1, 4), identity_field(1))
+        with pytest.raises(ValueError) as err:
+            apply_symmetric_scaling(a, scaling)
+        assert str(err.value) == message
 
     def test_constant_diagonal_preserves_kappa(self):
         # scaling by a scalar multiple of the identity cannot change kappa

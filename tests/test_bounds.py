@@ -484,16 +484,14 @@ class TestSharedFactorization:
         import scipy.sparse.linalg as spla
 
         mesh, rotated, _ = self.case()
-        # the rotated field's A has no exact zeros; the identity's has many
+        # the identity field cancels many couplings exactly, the rotated one none
         for field in (rotated, identity_field(2)):
             a = assemble_stiffness(mesh, field)
             cal = calibrate_constant(2, field, 8)
             lmin = condition_bounds(mesh, field, cal, 1e-8).exact.lambda_min
-            # the LU shared by a row's solves is of A without its exact zeros,
-            # on SuperLU's options for an SPD matrix
-            structural = a.copy()
-            structural.eliminate_zeros()
-            solve = spla.splu(structural.tocsc(), permc_spec="MMD_AT_PLUS_A",
+            # the LU shared by a row's solves is on SuperLU's options for an
+            # SPD matrix
+            solve = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
                               diag_pivot_thresh=0.0, options={"SymmetricMode": True}).solve
             opinv = spla.LinearOperator(a.shape, matvec=solve, dtype=float)
             assert lmin == self.direct_lambda_min(a, opinv)
@@ -516,36 +514,6 @@ class TestSharedFactorization:
         # one symmetric permutation, so U's diagonal is the D of an LDL^T
         assert np.array_equal(lu.perm_r, lu.perm_c)
         assert lu.L.nnz + lu.U.nnz < defaults.L.nnz + defaults.U.nnz
-
-    @pytest.mark.parametrize("mesh", [generate_skew_mesh_3d(8, 25.0),
-                                      generate_uniform_mesh(2, 16)],
-                             ids=["skew3d", "uniform2d"])
-    def test_row_lu_drops_exact_zeros(self, monkeypatch, mesh):
-        import scipy.sparse.linalg as spla
-
-        field = identity_field(mesh.dim)
-        a = assemble_stiffness(mesh, field)
-        assert (a.data == 0.0).any()  # Kuhn cells cancel some couplings exactly
-        lus = []
-
-        def kept(mat, *args, _real=spla.splu, **kwargs):
-            lus.append((mat, _real(mat, *args, **kwargs)))
-            return lus[-1][1]
-
-        monkeypatch.setattr(spectral.spla, "splu", kept)
-        rep = condition_bounds(mesh, field, _pinned_cal(mesh, field))
-        monkeypatch.undo()
-        ((mat, lu),) = lus
-        assert mat.nnz > 0 and (mat.data != 0.0).all()
-        with_zeros = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                               options={"SymmetricMode": True})
-        assert lu.L.nnz + lu.U.nnz < with_zeros.L.nnz + with_zeros.U.nnz
-        # dropping an exact 0.0 leaves A, so lambda_max, as it was
-        scaled = apply_symmetric_scaling(a, jacobi_scaling(a))
-        assert rep.exact.lambda_max == extreme_eigenvalues(a, 1e-8).lambda_max
-        assert rep.exact_scaled.lambda_max == extreme_eigenvalues(scaled, 1e-8).lambda_max
-        oracle_min = spectral.dense_eigenvalues_oracle(a.toarray())[0]
-        assert rep.exact.lambda_min == pytest.approx(oracle_min, rel=1e-8)
 
     def test_scaled_lambda_min_matches_own_factorization(self):
         mesh, field, a = self.case()
@@ -777,6 +745,13 @@ class TestMUniformBound:
         metric = np.broadcast_to(bad, (mesh.n_elements, 2, 2))
         with pytest.raises(ValueError, match=f"element 0 is {cause}"):
             m_uniform_bound(mesh, identity_field(2), metric, cal2)
+
+    def test_metric_of_wrong_shape_rejected(self, cal2):
+        mesh = generate_uniform_mesh(2, 8)
+        metric = np.tile(np.eye(3), (mesh.n_elements, 1, 1))
+        with pytest.raises(ValueError) as err:
+            m_uniform_bound(mesh, identity_field(2), metric, cal2)
+        assert str(err.value) == "metric must have shape (ne, d, d), got (128, 3, 3)"
 
     @pytest.mark.parametrize("bad, cause", [
         (np.diag([1.0, 0.0]), "not positive definite"),

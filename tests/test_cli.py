@@ -271,6 +271,19 @@ class TestAnalyze:
         assert capsys.readouterr().err == (
             f"meshcond: error: bad number in field spec {spec!r}\n")
 
+    @pytest.mark.parametrize("spec, dim, message", [
+        ("const:nan", 2, "constant field matrix has non-finite entries"),
+        ("const:1,0,0,1", 1, "const field is 2D but the mesh is 1D"),
+        ("rotated:1", 2, "rotated field needs two eigenvalues, got 'rotated:1'"),
+    ], ids=["const-nan", "const-dim", "rotated-one"])
+    def test_bad_field_exits_one(self, tmp_path, capsys, spec, dim, message):
+        mesh_path = tmp_path / "u.msh"
+        write_mesh(generate_uniform_mesh(dim, 4), mesh_path)
+        code = run(["analyze", "--mesh", str(mesh_path), "--field", spec,
+                    "--csv", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"meshcond: error: {message}\n"
+
     @pytest.mark.parametrize("tol", ["0.5", "0", "nan"])
     def test_bad_tol_exits_one_before_calibrating(self, tmp_path, capsys, monkeypatch,
                                                   tol):
@@ -535,6 +548,14 @@ class TestStudy:
         assert capsys.readouterr().err == (
             f"meshcond: error: {cfg}: case skew2d-aspect: aspect 1e+16 squeezes the "
             "grid layer of the n = 8 mesh below floating-point resolution\n")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_empty_sweep_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("case = chebyshev\nn_values = ,\n")
+        assert run(["study", "--config", str(cfg),
+                    "--csv", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err == f"meshcond: error: {cfg}:2: sweep list is empty\n"
         assert not (tmp_path / "s.csv").exists()
 
     def test_bad_config_exits_one(self, tmp_path):

@@ -72,6 +72,28 @@ class TestConstruction:
         with pytest.raises(FieldError):
             constant_field(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("matrix, message", [
+        (np.ones((2, 3)), "constant field matrix must be d x d, got shape (2, 3)"),
+        (np.eye(4), "constant field matrix must be d x d, got shape (4, 4)"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]),
+         "constant field matrix has non-finite entries"),
+    ], ids=["non-square", "4d", "nan"])
+    def test_constant_requires_finite_square_matrix(self, matrix, message):
+        with pytest.raises(FieldError) as err:
+            constant_field(matrix)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("spec, dim, message", [
+        ("const:1,0,0,1", 1, "const field is 2D but the mesh is 1D"),
+        ("const:nan", 1, "constant field matrix has non-finite entries"),
+        ("const:1,0,1", 2, "const field needs d*d entries, got 3"),
+        ("rotated:1", 2, "rotated field needs two eigenvalues, got 'rotated:1'"),
+    ], ids=["const-dim", "const-nan", "const-count", "rotated-one"])
+    def test_bad_spec_named(self, spec, dim, message):
+        with pytest.raises(FieldError) as err:
+            parse_field_spec(spec, dim)
+        assert str(err.value) == message
+
     def test_rotated_requires_positive_eigenvalues(self):
         with pytest.raises(FieldError):
             rotated_anisotropic_field(-1.0, 1.0)
@@ -208,6 +230,12 @@ class TestSpdNorm:
 
     def test_single_matrix(self):
         assert spd_norm2(np.diag([2.0, 5.0])) == pytest.approx(5.0)
+
+    def test_3d_scalar_matrix(self):
+        # a multiple of I has no spread about its mean, so it takes its own branch
+        assert spd_norm2(2.0 * np.eye(3)[None]).tolist() == [2.0]
+        mats = np.stack([3.0 * np.eye(3), np.diag([1.0, 4.0, 2.0])])
+        assert spd_norm2(mats) == pytest.approx([3.0, 4.0], rel=1e-12)
 
 
 class TestMappedMetric:

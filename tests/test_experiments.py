@@ -163,8 +163,10 @@ class TestConfigParsing:
         # checked with the whole config, as tol's range is: they name the file
         ("field = rotated:1_000,1", "study.cfg: bad number in field spec 'rotated:1_000,1'"),
         ("field = bogus", "study.cfg: unknown field spec 'bogus'"),
+        ("aspect_values = ,", "study.cfg:3: sweep list is empty"),
     ], ids=["unknown-key", "repeated-key", "no-equals", "bad-float", "bad-int",
-            "sweep-underscore", "arabic-indic-tol", "field-underscore", "field-unknown"])
+            "sweep-underscore", "arabic-indic-tol", "field-underscore", "field-unknown",
+            "empty-sweep"])
     def test_bad_line_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "study.cfg"
         path.write_text(f"case = chebyshev\nn_values = 64, 128, 256\n{line}\n")
@@ -687,7 +689,7 @@ class TestNoConvergenceRow:
         return calls
 
     @pytest.mark.parametrize("fail_unscaled", [True, False])
-    def test_row_keeps_estimates(self, case, monkeypatch, fail_unscaled):
+    def test_row_keeps_estimates(self, case, monkeypatch, tmp_path, fail_unscaled):
         import meshcond.bounds as bounds_mod
         from meshcond.experiments import analyze_mesh
         from meshcond.spectral import ConvergenceError
@@ -720,6 +722,13 @@ class TestNoConvergenceRow:
                 assert getattr(row, column) == getattr(ok, column), column
         assert (row.n, row.aspect, row.n_elements, row.n_interior) == (
             ok.n, ok.aspect, ok.n_elements, ok.n_interior)
+        write_study_csv([row], tmp_path / "r.csv")
+        with open(tmp_path / "r.csv", newline="") as fh:
+            (cells,) = csv.DictReader(fh)
+        assert cells["status"] == "no-convergence"
+        for name in self.EXACT:
+            assert cells[name + "_scaled"] == "nan", name
+            assert (cells[name] == "nan") == fail_unscaled, name
 
     def test_lapack_failure_on_1d_row(self, monkeypatch):
         import scipy.linalg

@@ -207,6 +207,17 @@ class TestConstruction:
         assert whole.elements.dtype == np.int64
         assert whole.elements.tolist() == [[0, 1, 2], [1, 3, 2]]
 
+    @pytest.mark.parametrize("dim, vertices, elements, message", [
+        (4, np.eye(5, 4), [[0, 1, 2, 3, 4]], "dim must be 1, 2 or 3, got 4"),
+        (2, np.eye(3), [[0, 1, 2]], "vertex coordinates do not match dim"),
+        (2, np.eye(3, 2), [[0, 1]], "elements must have d + 1 vertices each"),
+        (2, np.eye(3, 2), [0, 1, 2], "elements must have d + 1 vertices each"),
+    ], ids=["dim-4", "coordinate-width", "element-width", "flat-elements"])
+    def test_bad_shape_named(self, dim, vertices, elements, message):
+        with pytest.raises(ValueError) as err:
+            SimplicialMesh(dim=dim, vertices=vertices, elements=elements)
+        assert str(err.value) == message
+
     def test_orphan_interior_vertex(self):
         uni = generate_uniform_mesh(2, 4)
         with pytest.raises(ValueError, match="interior vertex 25 belongs to no element"):
@@ -308,6 +319,11 @@ class TestUniformMesh:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             generate_uniform_mesh(2, 1)
+
+    def test_rejects_dim_4(self):
+        with pytest.raises(ValueError) as err:
+            generate_uniform_mesh(4, 2)
+        assert str(err.value) == "dim must be 1, 2 or 3, got 4"
 
     @pytest.mark.parametrize("dim,n", [(1, 7), (2, 5), (2, 32), (3, 4), (3, 8)])
     def test_matches_loop_reference(self, dim, n):

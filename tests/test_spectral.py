@@ -76,6 +76,11 @@ class TestExtremeEigenvalues:
         with pytest.raises(ValueError):
             extreme_eigenvalues(a, 0.0)
 
+    def test_rejects_indefinite_matrix(self):
+        with pytest.raises(ValueError) as err:
+            extreme_eigenvalues(sp.diags([-1.0, 2.0, 3.0]).tocsr(), 1e-8)
+        assert str(err.value) == "matrix is not positive definite (lambda_min -1.0)"
+
     def test_random_spd_matches_oracle(self):
         rng = np.random.default_rng(99)
         for _ in range(50):
@@ -748,6 +753,12 @@ class TestCgIterationCount:
 
     def test_zero_rhs(self):
         assert cg_iteration_count(np.eye(4), np.zeros(4), 1e-10) == 0
+
+    @pytest.mark.parametrize("rhs", [np.ones(3), np.ones((4, 1))], ids=["short", "column"])
+    def test_rhs_of_wrong_shape_rejected(self, rhs):
+        with pytest.raises(ValueError) as err:
+            cg_iteration_count(np.eye(4), rhs, 1e-10)
+        assert str(err.value) == f"rhs has shape {rhs.shape}, matrix order is 4"
 
     def test_jacobi_preconditioning_helps_on_chebyshev(self):
         mesh = generate_chebyshev_mesh(1024)
